@@ -1194,9 +1194,10 @@ executeFanout(const std::vector<SystemConfig> &sys_cfgs, const Mix &mix,
     // whole job.  Warm hit: replay zero-copy from the blob.  Miss:
     // take the key's flock lease so concurrent processes racing the
     // same cold key serialize (the loser wakes to a warm re-lookup),
-    // capture the front end while simulating, and store it after the
-    // run.  Either way the results are bit-identical to an uncached
-    // pass; any cache failure demotes to exactly that.
+    // stream the front end into a spill in the cache directory while
+    // simulating, and land it after the run.  Either way the results
+    // are bit-identical to an uncached pass; any cache failure demotes
+    // to exactly that.
     std::shared_ptr<FeedCache> fc;
     if (!opt.feedCacheDir.empty()) {
         try {
@@ -1224,7 +1225,7 @@ executeFanout(const std::vector<SystemConfig> &sys_cfgs, const Mix &mix,
                   [&mix, &opt] {
                       return buildMixStreams(mix, opt.seed, opt.scale);
                   },
-                  blob, capture);
+                  blob, capture, capture ? fc->directory() : "");
     const std::size_t n = fan.size();
 
     // Per-member telemetry: one session per back end, tagged
@@ -1339,11 +1340,12 @@ namespace
 {
 
 /**
- * In-process memo of finished RunResults keyed by (config, mix,
- * deterministic run options): benches re-running the same baseline for
- * several comparisons reuse the simulated results.  Keys are explicit
- * field enumerations — equal keys imply equal simulations, and a
- * spurious mismatch only costs a re-run, never a wrong reuse.
+ * In-process memo of finished RunResults keyed by the service's
+ * canonical request bytes (every SystemConfig field, the mix and the
+ * deterministic run options) plus the job count: benches re-running the
+ * same baseline for several comparisons reuse the simulated results.
+ * Equal keys imply equal simulations; a spurious mismatch (say, two
+ * configs differing only in a display name) only costs a re-run.
  */
 struct RunMemo
 {
@@ -1370,76 +1372,26 @@ memoizable(const RunOptions &opt)
 }
 
 /**
- * The options that shape a run's numbers.  The job count is included
- * deliberately even though results are jobs-invariant: the determinism
- * tests re-run sweeps across job counts to PROVE that invariance, and a
- * memo hit would short-circuit exactly the property under test.
+ * Memo key of one (config, mix) cell: the canonical bytes the result
+ * cache keys the same simulation by, then the job count.  The job count
+ * is included deliberately even though results are jobs-invariant: the
+ * determinism tests re-run sweeps across job counts to PROVE that
+ * invariance, and a memo hit would short-circuit exactly the property
+ * under test.
  */
 std::string
-optMemoKey(const RunOptions &opt)
+cellMemoKey(const SystemConfig &cfg, const Mix &mix, const RunOptions &opt)
 {
-    char buf[160];
-    std::snprintf(buf, sizeof(buf), "seed=%llu;scale=%u;w=%llu;m=%llu;j=%u",
-                  static_cast<unsigned long long>(opt.seed), opt.scale,
-                  static_cast<unsigned long long>(opt.warmup),
-                  static_cast<unsigned long long>(opt.measure),
-                  effectiveJobs(opt));
-    return buf;
-}
-
-/** Every SystemConfig field, including the inactive SLLC sub-configs
- *  (spurious misses are safe; omissions are not). */
-std::string
-configMemoKey(const SystemConfig &c)
-{
-    char buf[768];
-    std::snprintf(
-        buf, sizeof(buf),
-        "cores=%u;priv=%llu,%u,%llu,%llu,%u,%llu;"
-        "pf=%d,%u,%u,%u,%u;xbar=%u,%llu,%llu,%u;"
-        "mem=%u,%u,%u,%llu,%llu,%llu,%llu,%llu;"
-        "kind=%u;conv=%llu,%u,%u,%u,%llu,%llu,%llu;"
-        "reuse=%llu,%u,%llu,%u,%u,%u,%u,%llu,%llu,%llu;"
-        "ncid=%llu,%u,%llu,%u,%llu,%llu,%llu,%.17g;"
-        "seed=%llu;cap=%u",
-        c.numCores, static_cast<unsigned long long>(c.priv.l1Bytes),
-        c.priv.l1Ways, static_cast<unsigned long long>(c.priv.l1Latency),
-        static_cast<unsigned long long>(c.priv.l2Bytes), c.priv.l2Ways,
-        static_cast<unsigned long long>(c.priv.l2Latency),
-        c.prefetch.enable ? 1 : 0, c.prefetch.degree,
-        c.prefetch.tableEntries, c.prefetch.regionShift,
-        c.prefetch.minConfidence, c.xbar.numBanks,
-        static_cast<unsigned long long>(c.xbar.linkLatency),
-        static_cast<unsigned long long>(c.xbar.bankOccupancy),
-        c.xbar.mshrPerBank, c.memory.numChannels, c.memory.dram.numBanks,
-        c.memory.dram.pageBytes,
-        static_cast<unsigned long long>(c.memory.dram.rowMissLatency),
-        static_cast<unsigned long long>(c.memory.dram.rowHitLatency),
-        static_cast<unsigned long long>(c.memory.dram.rowConflictExtra),
-        static_cast<unsigned long long>(c.memory.dram.busCyclesPerLine),
-        static_cast<unsigned long long>(c.memory.dram.bankOccupancy),
-        static_cast<unsigned>(c.llcKind),
-        static_cast<unsigned long long>(c.conv.capacityBytes), c.conv.ways,
-        static_cast<unsigned>(c.conv.repl), c.conv.numCores,
-        static_cast<unsigned long long>(c.conv.tagLatency),
-        static_cast<unsigned long long>(c.conv.dataLatency),
-        static_cast<unsigned long long>(c.conv.interventionLatency),
-        static_cast<unsigned long long>(c.reuse.tagEquivBytes),
-        c.reuse.tagWays, static_cast<unsigned long long>(c.reuse.dataBytes),
-        c.reuse.dataWays, static_cast<unsigned>(c.reuse.tagRepl),
-        static_cast<unsigned>(c.reuse.dataRepl), c.reuse.numCores,
-        static_cast<unsigned long long>(c.reuse.tagLatency),
-        static_cast<unsigned long long>(c.reuse.dataLatency),
-        static_cast<unsigned long long>(c.reuse.interventionLatency),
-        static_cast<unsigned long long>(c.ncid.tagEquivBytes),
-        c.ncid.tagWays, static_cast<unsigned long long>(c.ncid.dataBytes),
-        c.ncid.numCores,
-        static_cast<unsigned long long>(c.ncid.tagLatency),
-        static_cast<unsigned long long>(c.ncid.dataLatency),
-        static_cast<unsigned long long>(c.ncid.interventionLatency),
-        c.ncid.selectiveFillRate,
-        static_cast<unsigned long long>(c.seed), c.capacityScale);
-    return buf;
+    svc::RunRequest req;
+    req.config = cfg;
+    req.mix = mix;
+    req.seed = opt.seed;
+    req.scale = opt.scale;
+    req.warmup = opt.warmup;
+    req.measure = opt.measure;
+    const std::vector<std::uint8_t> bytes = svc::canonicalBytes(req);
+    return std::string(bytes.begin(), bytes.end()) + "|j=" +
+           std::to_string(effectiveJobs(opt));
 }
 
 /** Summary statistics over the filled per-mix ratio vector. */
@@ -1492,17 +1444,12 @@ runConfigsOverMixes(const std::vector<SystemConfig> &cfgs,
         cfgs.size(), std::vector<char>(mixes.size(), 0));
     if (memo) {
         cellKeys.resize(cfgs.size() * mixes.size());
-        const std::string optKey = optMemoKey(opt);
-        std::vector<std::string> mixKeys(mixes.size());
-        for (std::size_t m = 0; m < mixes.size(); ++m)
-            mixKeys[m] = mixes[m].label();
         RunMemo &cache = runMemo();
         std::lock_guard<std::mutex> lock(cache.mu);
         for (std::size_t i = 0; i < cfgs.size(); ++i) {
-            const std::string cfgKey = configMemoKey(cfgs[i]);
             for (std::size_t m = 0; m < mixes.size(); ++m) {
                 std::string &key = cellKeys[i * mixes.size() + m];
-                key = cfgKey + "|" + mixKeys[m] + "|" + optKey;
+                key = cellMemoKey(cfgs[i], mixes[m], opt);
                 const auto it = cache.map.find(key);
                 if (it != cache.map.end()) {
                     results[i][m] = it->second;

@@ -29,18 +29,23 @@
  * A third measurement covers the persistent feed cache: the same sweep
  * runs once cold (front end simulated in capture mode, blob stored)
  * and once warm (front end replayed zero-copy from the mapped blob),
- * both digest-checked against the independent pass:
+ * both digest-checked against the independent pass.  Both ratios use
+ * the plain fan-out pass as the denominator, so neither can look good
+ * by making the other feed-cache path slow:
  *   feedcache_cold_sims_per_sec  simulate + capture + store
  *   feedcache_warm_sims_per_sec  lookup + replay (SLLC-only)
- *   feedcache_speedup            cold wall / warm wall
+ *   feedcache_capture_ratio      (capture + store) wall / fan-out wall
+ *   feedcache_warm_ratio         fan-out wall / warm wall
  *
  * Extra flags (on top of the common harness set):
  *   --baseline=FILE   prior BENCH_kernel.json to gate against
- *   --tolerance=F     allowed fractional drop vs baseline (default 0.20)
- * With --baseline, exits 2 when serial OR fan-out sims/sec lands below
- * its baseline * (1 - tolerance); CI points this at the repo-recorded
- * record so kernel regressions fail the perf-smoke job.  A baseline
- * file without fan-out fields gates the serial number only.
+ *   --tolerance=F     allowed fractional drift vs baseline (default 0.20)
+ * With --baseline, exits 2 when serial, fan-out or warm feed-cache
+ * sims/sec lands below its baseline * (1 - tolerance), when the warm
+ * ratio lands below its baseline * (1 - tolerance), or when the capture
+ * ratio rises above its baseline * (1 + tolerance); CI points this at
+ * the repo-recorded record so kernel regressions fail the perf-smoke
+ * job.  Fields missing from the baseline file are not gated.
  */
 
 #include <cinttypes>
@@ -90,9 +95,10 @@ fnv1a(const std::string &s, std::uint64_t h = 0xcbf29ce484222325ull)
 struct BaselineRecord {
     double serialSimsPerSec = 0.0;
     double fanoutSimsPerSec = 0.0; ///< 0 when the record predates fan-out
-    //! 0 when the record predates the feed cache
+    //! 0 when the record predates the feed cache (or these ratios)
     double feedWarmSimsPerSec = 0.0;
-    double feedSpeedup = 0.0;
+    double feedCaptureRatio = 0.0;
+    double feedWarmRatio = 0.0;
 };
 
 BaselineRecord
@@ -120,7 +126,8 @@ readBaseline(const std::string &path)
     rec.fanoutSimsPerSec = field("\"fanout_sims_per_sec\":", false);
     rec.feedWarmSimsPerSec =
         field("\"feedcache_warm_sims_per_sec\":", false);
-    rec.feedSpeedup = field("\"feedcache_speedup\":", false);
+    rec.feedCaptureRatio = field("\"feedcache_capture_ratio\":", false);
+    rec.feedWarmRatio = field("\"feedcache_warm_ratio\":", false);
     return rec;
 }
 
@@ -291,10 +298,10 @@ main(int argc, char **argv)
 
     // --- Feed-cache measurement: the identical sweep once more through
     // the persistent feed cache.  Cold pays the miss path in full
-    // (front-end simulation in capture mode, blob serialization, fsync,
+    // (front-end simulation streaming into a spill, then seal, fsync,
     // rename); warm pays the hit path (mmap + validation + SLLC-only
     // replay).  Both passes are digest-checked against the independent
-    // runs, so the speedup is over bit-identical results.
+    // runs, so both ratios are over bit-identical results.
     const std::string feedDir = "feedcache-kernel.tmp";
     removeFeedDir(feedDir); // stale leftovers of a killed run
     const auto sweepDigests = [&](FanoutCmp &f, const char *pass) {
@@ -321,7 +328,7 @@ main(int argc, char **argv)
                            return buildMixStreams(fanMix, opt.seed,
                                                   opt.scale);
                        },
-                       nullptr, /*capture=*/true);
+                       nullptr, /*capture=*/true, feedDir);
         cold.run(opt.warmup);
         cold.beginMeasurement();
         cold.run(opt.measure);
@@ -360,8 +367,10 @@ main(int argc, char **argv)
     const double feedWarmSimsPerSec =
         feedWarmSec > 0.0 ? static_cast<double>(fanRuns) / feedWarmSec
                           : 0.0;
-    const double feedSpeedup =
-        feedWarmSec > 0.0 ? feedColdSec / feedWarmSec : 0.0;
+    const double feedCaptureRatio =
+        fanSec > 0.0 ? feedColdSec / fanSec : 0.0;
+    const double feedWarmRatio =
+        feedWarmSec > 0.0 ? fanSec / feedWarmSec : 0.0;
 
     char buf[2048];
     std::snprintf(
@@ -382,7 +391,8 @@ main(int argc, char **argv)
         "  \"fanout_speedup\": %.3f,\n"
         "  \"feedcache_cold_sims_per_sec\": %.4f,\n"
         "  \"feedcache_warm_sims_per_sec\": %.4f,\n"
-        "  \"feedcache_speedup\": %.3f,\n"
+        "  \"feedcache_capture_ratio\": %.3f,\n"
+        "  \"feedcache_warm_ratio\": %.3f,\n"
         "  \"phases\": {\n"
         "    \"build_seconds\": %.3f,\n"
         "    \"warmup_seconds\": %.3f,\n"
@@ -397,7 +407,7 @@ main(int argc, char **argv)
         static_cast<std::uint64_t>(opt.measure), opt.scale, accesses,
         simsPerSec, accPerSec, digest, fanRuns, indepSimsPerSec,
         fanSimsPerSec, fanSpeedup, feedColdSimsPerSec,
-        feedWarmSimsPerSec, feedSpeedup, buildSec, warmupSec, measureSec,
+        feedWarmSimsPerSec, feedCaptureRatio, feedWarmRatio, buildSec, warmupSec, measureSec,
         indepSec, fanSec, feedColdSec, feedWarmSec);
 
     std::FILE *f = std::fopen("BENCH_kernel.json", "w");
@@ -431,23 +441,35 @@ main(int argc, char **argv)
         gate("fanout", fanSimsPerSec, base.fanoutSimsPerSec);
         gate("feedcache warm", feedWarmSimsPerSec,
              base.feedWarmSimsPerSec);
-        // The speedup ratio gates too: warm replay regressing toward
-        // cold cost is a feed-cache regression even if absolute sims/sec
-        // kept up with a faster machine.
-        if (base.feedSpeedup > 0.0) {
-            const double floor = base.feedSpeedup * (1.0 - tolerance);
-            std::printf("gate: feedcache speedup %.3fx vs baseline "
-                        "%.3fx (floor %.3fx, tolerance %.0f%%)\n",
-                        feedSpeedup, base.feedSpeedup, floor,
+        // The host-portable ratios gate too, both against plain
+        // fan-out: capture drifting toward a slower path, or warm replay
+        // drifting toward plain fan-out cost, is a feed-cache
+        // regression even if absolute sims/sec kept up with a faster
+        // machine.
+        const auto ratioGate = [&](const char *what, double measured,
+                                   double recorded, bool lowerIsBetter) {
+            if (recorded <= 0.0)
+                return; // baseline predates this metric
+            const double bound = recorded * (lowerIsBetter
+                                                 ? 1.0 + tolerance
+                                                 : 1.0 - tolerance);
+            std::printf("gate: %s %.3f vs baseline %.3f (%s %.3f, "
+                        "tolerance %.0f%%)\n",
+                        what, measured, recorded,
+                        lowerIsBetter ? "ceiling" : "floor", bound,
                         tolerance * 100.0);
-            if (feedSpeedup < floor) {
+            if (lowerIsBetter ? measured > bound : measured < bound) {
                 std::fprintf(stderr,
-                             "FAIL: feedcache_speedup regressed more "
-                             "than %.0f%% below the recorded baseline\n",
-                             tolerance * 100.0);
+                             "FAIL: %s moved more than %.0f%% the wrong "
+                             "way from the recorded baseline\n",
+                             what, tolerance * 100.0);
                 failed = true;
             }
-        }
+        };
+        ratioGate("feedcache_capture_ratio", feedCaptureRatio,
+                  base.feedCaptureRatio, true);
+        ratioGate("feedcache_warm_ratio", feedWarmRatio,
+                  base.feedWarmRatio, false);
         if (failed)
             return 2;
     }

@@ -11,6 +11,7 @@
 
 #include "common/filelock.hh"
 #include "common/log.hh"
+#include "common/tmpfile.hh"
 #include "snapshot/serializer.hh"
 
 namespace rc::svc
@@ -62,7 +63,8 @@ ResultCache::recover()
     // Blobs are the source of truth: a crash can leave the index behind
     // the directory (rename landed, append did not) or leave *.tmp
     // leftovers of a write that never completed.  Adopt the former,
-    // delete the latter, then rewrite the index to match reality.
+    // delete the latter once their writer is dead (a live sibling may
+    // be mid-store), then rewrite the index to match reality.
     std::unordered_set<std::uint64_t> indexed;
     {
         std::FILE *f = std::fopen((dir + "/" + indexName).c_str(), "rb");
@@ -82,23 +84,16 @@ ResultCache::recover()
         throwSimError(SimError::Kind::Io,
                       "cannot scan cache directory '%s': %s", dir.c_str(),
                       std::strerror(errno));
-    std::vector<std::string> staleTmp;
     while (struct dirent *ent = ::readdir(d)) {
-        const std::string name = ent->d_name;
-        if (name.size() > 4 && name.substr(name.size() - 4) == ".tmp") {
-            staleTmp.push_back(dir + "/" + name);
-            continue;
-        }
         std::uint64_t digest = 0;
-        if (!digestFromBlobName(name, digest))
+        if (!digestFromBlobName(ent->d_name, digest))
             continue;
         known.insert(digest);
         if (!indexed.count(digest))
             ++counters.recovered;
     }
     ::closedir(d);
-    for (const std::string &tmp : staleTmp)
-        ::unlink(tmp.c_str());
+    sweepDeadTmps(dir);
     persistIndex();
 }
 
@@ -237,7 +232,7 @@ ResultCache::persistIndex()
         snapshot = known;
     }
     const std::string path = dir + "/" + indexName;
-    const std::string tmp = path + ".idxtmp";
+    const std::string tmp = uniqueTmpPath(path);
     std::FILE *f = std::fopen(tmp.c_str(), "wb");
     if (!f) {
         warn("result cache: cannot rewrite index '%s': %s", path.c_str(),

@@ -27,8 +27,10 @@
  *
  * Startup recovery scans the directory: blobs are the source of truth
  * (an entry whose rename landed but whose index append did not is
- * adopted), stale *.tmp leftovers of a killed writer are deleted, and
- * the index is rewritten compacted.
+ * adopted), *.tmp leftovers of a dead writer are deleted (a live
+ * sibling process's in-flight write is left alone: staging names carry
+ * the writer's pid, see common/tmpfile.hh), and the index is rewritten
+ * compacted.
  */
 
 #ifndef RC_SERVICE_RESULT_CACHE_HH

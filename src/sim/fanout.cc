@@ -8,9 +8,53 @@
 namespace rc
 {
 
+namespace
+{
+
+/** Newest snapshot at or before @p idx: the live deque wins when it
+ *  has one (its entries all follow the blob's), else the blob's
+ *  vector is binary-searched.  The result's data pointer is null when
+ *  neither side has an anchor. */
+template <typename LiveSnap>
+FeedBlob::Snap
+newestSnapAtOrBefore(const std::deque<LiveSnap> &live,
+                     const std::vector<FeedBlob::Snap> *flat,
+                     std::uint64_t idx)
+{
+    const LiveSnap *anchor = nullptr;
+    for (const LiveSnap &snap : live) {
+        if (snap.idx > idx)
+            break;
+        anchor = &snap;
+    }
+    if (anchor)
+        return {anchor->idx, anchor->image.data(), anchor->image.size()};
+    if (flat && !flat->empty()) {
+        // First blob snap past idx, then step back one.
+        auto it = std::upper_bound(
+            flat->begin(), flat->end(), idx,
+            [](std::uint64_t v, const FeedBlob::Snap &s) {
+                return v < s.idx;
+            });
+        if (it != flat->begin())
+            return *--it;
+    }
+    return {};
+}
+
+/** A Deserializer over a snapshot image. */
+Deserializer
+snapReader(const FeedBlob::Snap &snap)
+{
+    return Deserializer(
+        std::vector<std::uint8_t>(snap.data, snap.data + snap.len));
+}
+
+} // namespace
+
 FanoutFeed::FanoutFeed(const PrivateConfig &priv, StreamFactory factory_,
                        std::shared_ptr<const FeedBlob> blob_,
-                       bool capture_)
+                       bool capture_, const std::string &captureDir)
     : privCfg(priv), factory(std::move(factory_)), blob(std::move(blob_)),
       capture(capture_)
 {
@@ -29,16 +73,16 @@ FanoutFeed::FanoutFeed(const PrivateConfig &priv, StreamFactory factory_,
                       "feed blob record count %llu is not chunk-aligned",
                       static_cast<unsigned long long>(view.count));
             PerCore &pc = per[c];
-            pc.flat = view.recs;
-            pc.flatA = view.cumA;
-            pc.flatI = view.cumI;
+            pc.flatChunks = view.chunks.data();
             pc.flatLlc = view.llc;
             pc.flatCount = view.count;
             pc.flatLlcCount = view.llcCount;
             pc.base = view.count;
             pc.generated = view.count;
-            pc.aTotal = view.count ? view.cumA[view.count - 1] : 0;
-            pc.iTotal = view.count ? view.cumI[view.count - 1] : 0;
+            pc.aTotal =
+                view.count ? flatSum(pc, view.count - 1, kChunkCumAOff) : 0;
+            pc.iTotal =
+                view.count ? flatSum(pc, view.count - 1, kChunkCumIOff) : 0;
             labels.push_back(view.label);
         }
         return;
@@ -56,6 +100,13 @@ FanoutFeed::FanoutFeed(const PrivateConfig &priv, StreamFactory factory_,
         per[c].ring.resize(kInitialRing);
         per[c].cumA.resize(kInitialRing);
         per[c].cumI.resize(kInitialRing);
+    }
+    if (capture) {
+        try {
+            spill = std::make_unique<FeedSpill>(captureDir, numCores());
+        } catch (const SimError &e) {
+            warn("feed capture disabled for this run: %s", e.what());
+        }
     }
 }
 
@@ -106,7 +157,7 @@ FanoutFeed::goLive(CoreId core)
         const FeedBlob::Snap &anchor = view.streamSnaps.back();
         RC_ASSERT(anchor.idx <= pc.flatCount,
                   "feed blob stream snapshot beyond its records");
-        Deserializer d(anchor.image);
+        Deserializer d = snapReader(anchor);
         d.beginSection("stream");
         streams[core]->restore(d);
         d.endSection();
@@ -154,6 +205,7 @@ FanoutFeed::extend(CoreId core, std::uint64_t idx)
             pc.hsnaps.push_back(HierSnap{pc.generated, ser.image()});
         }
         const std::size_t mask = pc.ring.size() - 1;
+        const std::size_t first = pc.generated & mask;
         for (std::uint64_t i = 0; i < kChunk; ++i) {
             StepRecord &rec = pc.ring[pc.generated & mask];
             const MemRef r = stream.next();
@@ -181,6 +233,8 @@ FanoutFeed::extend(CoreId core, std::uint64_t idx)
                                     evict_line, evict_dirty, rec);
                 }
                 pc.llcIdx.push_back(pc.generated);
+                if (spill)
+                    spill->appendLlc(core, pc.generated);
             }
             pc.aTotal += rec.think + act.latency;
             pc.iTotal += rec.think + (r.isInstr ? 0 : 1);
@@ -188,18 +242,24 @@ FanoutFeed::extend(CoreId core, std::uint64_t idx)
             pc.cumI[pc.generated & mask] = pc.iTotal;
             ++pc.generated;
         }
+        // Capture: the chunk is final, so it goes to the spill now (its
+        // ring slots are contiguous — the ring is a multiple of kChunk
+        // and chunks start on kChunk boundaries) and the live window
+        // trims exactly as an uncaptured feed's does.
+        if (spill)
+            spill->appendChunk(core, &pc.ring[first], &pc.cumA[first],
+                               &pc.cumI[first], pc.snaps.back().image,
+                               pc.hsnaps.back().image);
     }
 }
 
 void
 FanoutFeed::trim(CoreId core, std::uint64_t min_idx)
 {
-    // Capture mode keeps the whole window alive: FeedCache::store()
-    // serializes it after the run.  Blob-backed records are never
-    // trimmed either — they are a read-only mapping, and base already
-    // starts at the blob's horizon.
-    if (capture)
-        return;
+    // Capture mode trims like any feed: every chunk went to the spill
+    // when it was generated.  Blob-backed records are never trimmed —
+    // they are a read-only mapping, and base already starts at the
+    // blob's horizon.
     PerCore &pc = per[core];
     // Trim to the chunk boundary below min_idx, not min_idx itself:
     // materializeHier() replays records from the newest hierarchy
@@ -313,44 +373,6 @@ FanoutFeed::cursorAtKey(CoreId core, std::uint64_t cursor,
                          pc.generated, key_ready, strict);
 }
 
-namespace
-{
-
-/** Newest snapshot at or before @p idx: the live deque wins when it
- *  has one (its entries all follow the blob's), else the blob's
- *  vector is binary-searched.  Returns {snapIdx, image}; the image
- *  pointer is null when neither side has an anchor. */
-template <typename LiveSnap>
-std::pair<std::uint64_t, const std::vector<std::uint8_t> *>
-newestSnapAtOrBefore(const std::deque<LiveSnap> &live,
-                     const std::vector<FeedBlob::Snap> *flat,
-                     std::uint64_t idx)
-{
-    const LiveSnap *anchor = nullptr;
-    for (const LiveSnap &snap : live) {
-        if (snap.idx > idx)
-            break;
-        anchor = &snap;
-    }
-    if (anchor)
-        return {anchor->idx, &anchor->image};
-    if (flat && !flat->empty()) {
-        // First blob snap past idx, then step back one.
-        auto it = std::upper_bound(
-            flat->begin(), flat->end(), idx,
-            [](std::uint64_t v, const FeedBlob::Snap &s) {
-                return v < s.idx;
-            });
-        if (it != flat->begin()) {
-            --it;
-            return {it->idx, &it->image};
-        }
-    }
-    return {0, nullptr};
-}
-
-} // namespace
-
 void
 FanoutFeed::materializeHier(CoreId core, std::uint64_t idx,
                             PrivateHierarchy &hier) const
@@ -360,13 +382,13 @@ FanoutFeed::materializeHier(CoreId core, std::uint64_t idx,
               "materializeHier(%llu) beyond generated %llu",
               static_cast<unsigned long long>(idx),
               static_cast<unsigned long long>(pc.generated));
-    const auto [anchorIdx, image] = newestSnapAtOrBefore(
+    const FeedBlob::Snap anchor = newestSnapAtOrBefore(
         pc.hsnaps, blob ? &blob->core(core).hierSnaps : nullptr, idx);
-    RC_ASSERT(image,
+    RC_ASSERT(anchor.data,
               "no hierarchy snapshot at or before record %llu of core %u",
               static_cast<unsigned long long>(idx), core);
     {
-        Deserializer d(*image);
+        Deserializer d = snapReader(anchor);
         d.beginSection("hier");
         hier.restore(d);
         d.endSection();
@@ -374,7 +396,7 @@ FanoutFeed::materializeHier(CoreId core, std::uint64_t idx,
     // Replay the intervening records: a never-diverged member replica
     // is bit-identical to the virgin hierarchy at every index, so the
     // apply path reproduces its exact state (and counters) at idx.
-    for (std::uint64_t i = anchorIdx; i < idx; ++i) {
+    for (std::uint64_t i = anchor.idx; i < idx; ++i) {
         const StepRecord &rec = recAt(pc, i);
         const PrivateMissAction act = hier.applyClassify(rec);
         if (act.needLlc) {
@@ -394,9 +416,9 @@ FanoutFeed::saveStreamAt(CoreId core, std::uint64_t idx,
                          Serializer &s) const
 {
     const PerCore &pc = per[core];
-    const auto [anchorIdx, image] = newestSnapAtOrBefore(
+    const FeedBlob::Snap anchor = newestSnapAtOrBefore(
         pc.snaps, blob ? &blob->core(core).streamSnaps : nullptr, idx);
-    RC_ASSERT(image,
+    RC_ASSERT(anchor.data,
               "no stream snapshot at or before record %llu of core %u",
               static_cast<unsigned long long>(idx), core);
 
@@ -404,12 +426,12 @@ FanoutFeed::saveStreamAt(CoreId core, std::uint64_t idx,
     RC_ASSERT(core < fresh.size(), "stream factory shrank");
     RefStream &stream = *fresh[core];
     {
-        Deserializer d(*image);
+        Deserializer d = snapReader(anchor);
         d.beginSection("stream");
         stream.restore(d);
         d.endSection();
     }
-    for (std::uint64_t i = anchorIdx; i < idx; ++i)
+    for (std::uint64_t i = anchor.idx; i < idx; ++i)
         (void)stream.next();
     stream.save(s);
 }
@@ -433,7 +455,7 @@ ReplayStream::restore(Deserializer &d)
 FanoutCmp::FanoutCmp(const std::vector<SystemConfig> &configs,
                      StreamFactory factory_,
                      std::shared_ptr<const FeedBlob> blob,
-                     bool capture)
+                     bool capture, const std::string &captureDir)
 {
     RC_ASSERT(!configs.empty(), "fan-out needs at least one config");
     const SystemConfig &head = configs.front();
@@ -445,7 +467,8 @@ FanoutCmp::FanoutCmp(const std::vector<SystemConfig> &configs,
     }
 
     feed = std::make_unique<FanoutFeed>(head.priv, std::move(factory_),
-                                        std::move(blob), capture);
+                                        std::move(blob), capture,
+                                        captureDir);
     RC_ASSERT(feed->numCores() == head.numCores,
               "stream factory produced %u streams for %u cores",
               feed->numCores(), head.numCores);

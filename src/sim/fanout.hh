@@ -67,7 +67,9 @@ using StreamFactory =
  *
  * Records are generated lazily in chunks as members consume them and
  * trimmed once every member is past them, so the live window is bounded
- * by the members' lockstep quantum.  At each chunk boundary the feed
+ * by the members' lockstep quantum — in capture mode too, where each
+ * chunk is also appended to a FeedSpill the moment it is generated.
+ * At each chunk boundary the feed
  * snapshots the underlying stream state; ReplayStream::save() rebuilds
  * a bit-exact stream image for any record index from the nearest
  * snapshot, keeping member checkpoints byte-identical to independent
@@ -86,13 +88,18 @@ class FanoutFeed
      *        snapshots come zero-copy out of the mapping, and no
      *        stream or virgin-hierarchy simulation happens unless a
      *        member consumes past the blob's horizon (goLive()).
-     * @param capture retain every record, prefix sum and snapshot for
-     *        a later FeedCache::store() instead of trimming; mutually
-     *        exclusive with @p blob.
+     * @param capture stream every generated chunk (records, prefix
+     *        sums, snapshots) into a FeedSpill for a later
+     *        FeedCache::store(); mutually exclusive with @p blob.  If
+     *        no spill can be created the feed runs uncaptured (with a
+     *        warning) and store() persists nothing.
+     * @param captureDir directory the spill is created in: the feed
+     *        cache's own, so store() lands it with a link; empty =
+     *        $TMPDIR or /tmp.
      */
     FanoutFeed(const PrivateConfig &priv, StreamFactory factory,
                std::shared_ptr<const FeedBlob> blob = nullptr,
-               bool capture = false);
+               bool capture = false, const std::string &captureDir = {});
 
     ~FanoutFeed();
 
@@ -101,7 +108,7 @@ class FanoutFeed
     {
         PerCore &pc = per[core];
         if (idx < pc.flatCount)
-            return pc.flat[idx];
+            return flatRec(pc, idx);
         if (idx >= pc.generated)
             extend(core, idx);
         return pc.ring[idx & (pc.ring.size() - 1)];
@@ -122,7 +129,7 @@ class FanoutFeed
     {
         const PerCore &pc = per[core];
         if (idx < pc.flatCount)
-            return pc.flatA[idx];
+            return flatSum(pc, idx, kChunkCumAOff);
         RC_ASSERT(idx >= pc.base && idx < pc.generated,
                   "cumAIncl(%llu) outside live window [%llu, %llu)",
                   static_cast<unsigned long long>(idx),
@@ -136,7 +143,7 @@ class FanoutFeed
     {
         const PerCore &pc = per[core];
         if (idx < pc.flatCount)
-            return pc.flatI[idx];
+            return flatSum(pc, idx, kChunkCumIOff);
         RC_ASSERT(idx >= pc.base && idx < pc.generated,
                   "cumIIncl(%llu) outside live window",
                   static_cast<unsigned long long>(idx));
@@ -226,8 +233,14 @@ class FanoutFeed
     /** Replaying from a feed-cache blob? */
     bool warm() const { return blob != nullptr; }
 
-    /** Retaining everything for a FeedCache::store()? */
+    /** Constructed to capture for a FeedCache::store()? */
     bool capturing() const { return capture; }
+
+    /** Live ring capacity of @p core in records (tests/diagnostics). */
+    std::size_t ringCapacity(CoreId core) const
+    {
+        return per[core].ring.size();
+    }
 
     /** Blob records available to @p core without any simulation. */
     std::uint64_t warmCount(CoreId core) const
@@ -236,7 +249,7 @@ class FanoutFeed
     }
 
   private:
-    friend class FeedCache; // store() serializes the captured window
+    friend class FeedCache; // store() lands the spill under a key
     /** Stream-state image taken at a chunk boundary. */
     struct StreamSnap
     {
@@ -256,13 +269,12 @@ class FanoutFeed
     {
         std::uint64_t base = 0;      //!< oldest ring-resident index
         std::uint64_t generated = 0; //!< next index to generate
-        /** Replay mode: zero-copy views into the mapped blob's arrays.
-         *  Records [0, flatCount) live here permanently (never
-         *  trimmed); the ring only ever holds indices >= flatCount,
-         *  generated live past the blob's horizon. */
-        const StepRecord *flat = nullptr;
-        const std::uint64_t *flatA = nullptr;
-        const std::uint64_t *flatI = nullptr;
+        /** Replay mode: zero-copy views into the mapped blob's chunk
+         *  blocks (FeedBlob::CoreView::chunks).  Records [0, flatCount)
+         *  live there permanently (never trimmed); the ring only ever
+         *  holds indices >= flatCount, generated live past the blob's
+         *  horizon. */
+        const std::uint8_t *const *flatChunks = nullptr;
         const std::uint64_t *flatLlc = nullptr;
         std::uint64_t flatCount = 0;
         std::uint64_t flatLlcCount = 0;
@@ -295,11 +307,28 @@ class FanoutFeed
      */
     void goLive(CoreId core);
 
+    /** Blob record @p idx (< flatCount): chunk block, then slot. */
+    static const StepRecord &flatRec(const PerCore &pc, std::uint64_t idx)
+    {
+        return reinterpret_cast<const StepRecord *>(
+            pc.flatChunks[idx >> kFeedChunkShift])[idx & (kChunk - 1)];
+    }
+
+    /** Blob prefix sum through @p idx (< flatCount) from the array at
+     *  byte offset @p off of its chunk block (cumA or cumI). */
+    static std::uint64_t flatSum(const PerCore &pc, std::uint64_t idx,
+                                 std::uint64_t off)
+    {
+        return reinterpret_cast<const std::uint64_t *>(
+            pc.flatChunks[idx >> kFeedChunkShift] +
+            off)[idx & (kChunk - 1)];
+    }
+
     /** Prefix sum through @p idx, flat or ring. */
     std::uint64_t cumAt(const PerCore &pc, std::uint64_t idx) const
     {
         return idx < pc.flatCount
-                   ? pc.flatA[idx]
+                   ? flatSum(pc, idx, kChunkCumAOff)
                    : pc.cumA[idx & (pc.ring.size() - 1)];
     }
 
@@ -307,7 +336,7 @@ class FanoutFeed
     const StepRecord &recAt(const PerCore &pc, std::uint64_t idx) const
     {
         return idx < pc.flatCount
-                   ? pc.flat[idx]
+                   ? flatRec(pc, idx)
                    : pc.ring[idx & (pc.ring.size() - 1)];
     }
 
@@ -334,7 +363,7 @@ class FanoutFeed
     static void growRing(PerCore &pc);
 
     /** Records per generation chunk (and snapshot cadence). */
-    static constexpr std::uint64_t kChunk = 4096;
+    static constexpr std::uint64_t kChunk = kFeedChunk;
 
     /** Initial ring capacity (slots; must be a power of two). */
     static constexpr std::size_t kInitialRing = 8192;
@@ -349,6 +378,8 @@ class FanoutFeed
     //! pointers above.
     std::shared_ptr<const FeedBlob> blob;
     bool capture = false;
+    //! Capture mode: where generated chunks go (moved out by store()).
+    std::unique_ptr<FeedSpill> spill;
 };
 
 /**
@@ -411,13 +442,14 @@ class FanoutCmp
      * @param factory builds the shared per-core streams.
      * @param blob feed-cache blob to replay the front end from (warm
      *        hit); nullptr simulates the front end as usual.
-     * @param capture retain the front end's full record window so the
-     *        caller can FeedCache::store() it after the run.
+     * @param capture stream the front end into a spill so the caller
+     *        can FeedCache::store() it after the run.
+     * @param captureDir directory for the spill (see FanoutFeed).
      */
     FanoutCmp(const std::vector<SystemConfig> &configs,
               StreamFactory factory,
               std::shared_ptr<const FeedBlob> blob = nullptr,
-              bool capture = false);
+              bool capture = false, const std::string &captureDir = {});
 
     /**
      * Do @p a and @p b share the front-end-invariant config prefix

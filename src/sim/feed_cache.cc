@@ -1,8 +1,10 @@
 #include "sim/feed_cache.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <limits.h>
 #include <type_traits>
@@ -16,6 +18,7 @@
 
 #include "common/filelock.hh"
 #include "common/log.hh"
+#include "common/tmpfile.hh"
 #include "sim/fanout.hh"
 #include "snapshot/serializer.hh"
 
@@ -28,8 +31,12 @@ static_assert(std::is_trivially_copyable_v<StepRecord>,
 namespace
 {
 
-constexpr char kMagic[8] = {'R', 'C', 'F', 'E', 'E', 'D', '1', '\0'};
-constexpr std::uint32_t kFeedVersion = 1;
+constexpr char kMagic[8] = {'R', 'C', 'F', 'E', 'E', 'D', '2', '\0'};
+//! Bytes of the magic every format version shares; the version word
+//! alone decides whether a blob is readable, so an RCFEED1 blob is
+//! rejected as a stale format rather than as foreign bytes.
+constexpr std::size_t kMagicFamily = 6;
+constexpr std::uint32_t kFeedVersion = 2;
 //! Fixed header: magic, version, record size, file size, arrays
 //! off/len/hash, meta off/len, endian tag, CRC32 of the preceding 68.
 constexpr std::uint64_t kHeaderBytes = 72;
@@ -90,38 +97,6 @@ ld64(const std::uint8_t *p)
            static_cast<std::uint64_t>(ld32(p + 4)) << 32;
 }
 
-/** Streaming form of feedHash64; every update must be word-granular
- *  (the blob layout only ever produces multiple-of-8 spans). */
-struct FeedHasher
-{
-    std::uint64_t h = 0x9e3779b97f4a7c15ull;
-    std::uint64_t total = 0;
-
-    void words(const void *data, std::size_t len)
-    {
-        RC_ASSERT((len & 7) == 0, "feed hash spans must be word-granular");
-        const std::uint8_t *p = static_cast<const std::uint8_t *>(data);
-        std::uint64_t acc = h;
-        for (std::size_t i = 0; i < len; i += 8) {
-            std::uint64_t w;
-            std::memcpy(&w, p + i, 8);
-            acc ^= w;
-            acc *= 0xff51afd7ed558ccdull;
-            acc ^= acc >> 33;
-        }
-        h = acc;
-        total += len;
-    }
-
-    std::uint64_t done() const
-    {
-        std::uint64_t x = h ^ (total * 0x100000001b3ull);
-        x *= 0xc4ceb9fe1a85ec53ull;
-        x ^= x >> 29;
-        return x;
-    }
-};
-
 std::uint64_t
 fnv1aBytes(const std::vector<std::uint8_t> &bytes)
 {
@@ -147,17 +122,61 @@ digestFromBlobName(const std::string &name, std::uint64_t &digest)
     return end != nullptr && *end == '\0';
 }
 
-void
-fwriteAll(std::FILE *f, const void *data, std::size_t len,
-          const char *path)
+//! Start writeback of the spill whenever this much has been appended
+//! since the last start, so store()'s fsync finds little left to do.
+constexpr std::uint64_t kWritebackStride = 8ull << 20;
+
+std::atomic<bool> forceNamedSpill{false};
+
+inline std::uint64_t
+hashStep(std::uint64_t acc, const std::uint8_t *p)
 {
-    if (len != 0 && std::fwrite(data, 1, len, f) != len)
-        throwSimError(SimError::Kind::Io,
-                      "short write to feed blob '%s': %s", path,
-                      std::strerror(errno));
+    std::uint64_t w;
+    std::memcpy(&w, p, 8);
+    acc ^= w;
+    acc *= 0xff51afd7ed558ccdull;
+    return acc ^ (acc >> 33);
 }
 
 } // namespace
+
+void
+FeedHasher::words(const void *data, std::size_t len)
+{
+    RC_ASSERT((len & 7) == 0, "feed hash spans must be word-granular");
+    const std::uint8_t *p = static_cast<const std::uint8_t *>(data);
+    const std::uint8_t *const end = p + len;
+    std::uint64_t word = total / 8;
+    total += len;
+    for (; p != end && (word & 3) != 0; p += 8, ++word)
+        lane[word & 3] = hashStep(lane[word & 3], p);
+    std::uint64_t a = lane[0], b = lane[1], c = lane[2], d = lane[3];
+    for (; end - p >= 32; p += 32) {
+        a = hashStep(a, p);
+        b = hashStep(b, p + 8);
+        c = hashStep(c, p + 16);
+        d = hashStep(d, p + 24);
+    }
+    lane[0] = a;
+    lane[1] = b;
+    lane[2] = c;
+    lane[3] = d;
+    // Fewer than four words left, and the next one belongs to lane 0.
+    for (std::size_t k = 0; p != end; p += 8, ++k)
+        lane[k] = hashStep(lane[k], p);
+}
+
+std::uint64_t
+FeedHasher::done() const
+{
+    std::uint64_t x = total * 0x100000001b3ull;
+    for (const std::uint64_t l : lane) {
+        x ^= l;
+        x *= 0xc4ceb9fe1a85ec53ull;
+        x ^= x >> 29;
+    }
+    return x;
+}
 
 void
 putFrontEndConfig(Serializer &s, const SystemConfig &c)
@@ -284,9 +303,9 @@ FeedBlob::open(const std::string &path)
     blob->mapLen = static_cast<std::size_t>(size);
     const std::uint8_t *h = blob->base;
 
-    if (std::memcmp(h, kMagic, sizeof(kMagic)) != 0)
+    if (std::memcmp(h, kMagic, kMagicFamily) != 0)
         throwSimError(SimError::Kind::Snapshot,
-                      "'%s' is not an RCFEED1 feed blob", path.c_str());
+                      "'%s' is not an RCFEED feed blob", path.c_str());
     if (ld32(h + kOffHeaderCrc) != crc32(h, kOffHeaderCrc))
         throwSimError(SimError::Kind::Snapshot,
                       "feed blob '%s' fails its header CRC",
@@ -339,6 +358,10 @@ FeedBlob::open(const std::string &path)
         const std::string key = d.getString();
         blob->key.assign(key.begin(), key.end());
     }
+    if (d.getU64() != kFeedChunk)
+        throwSimError(SimError::Kind::Snapshot,
+                      "feed blob '%s' was written with another chunk size",
+                      path.c_str());
     const std::uint32_t cores = d.getU32();
     if (cores == 0 || cores > 1024)
         throwSimError(SimError::Kind::Snapshot,
@@ -346,58 +369,293 @@ FeedBlob::open(const std::string &path)
                       cores);
     blob->cores.resize(cores);
     const auto arrayAt = [&](std::uint64_t off, std::uint64_t bytes,
+                             std::uint64_t align,
                              const char *what) -> const std::uint8_t * {
         if (off < arraysOff || off + bytes > arraysOff + arraysBytes ||
-            off + bytes < off || (off & 7) != 0)
+            off + bytes < off || (off & (align - 1)) != 0)
             throwSimError(SimError::Kind::Snapshot,
-                          "feed blob '%s': %s array out of bounds",
+                          "feed blob '%s': %s out of bounds",
                           path.c_str(), what);
         return h + off;
     };
+    const std::uint64_t maxChunks = arraysBytes / kChunkBlockBytes;
     for (std::uint32_t c = 0; c < cores; ++c) {
         CoreView &view = blob->cores[c];
         d.beginSection("core");
         view.label = d.getString();
-        view.count = d.getU64();
+        const std::uint64_t nchunks = d.getU64();
         view.llcCount = d.getU64();
-        const std::uint64_t recOff = d.getU64();
-        const std::uint64_t aOff = d.getU64();
-        const std::uint64_t iOff = d.getU64();
         const std::uint64_t llcOff = d.getU64();
+        if (nchunks > maxChunks)
+            throwSimError(SimError::Kind::Snapshot,
+                          "feed blob '%s': core %u claims %llu chunks",
+                          path.c_str(), c,
+                          static_cast<unsigned long long>(nchunks));
+        view.count = nchunks * kFeedChunk;
         if (view.llcCount > view.count)
             throwSimError(SimError::Kind::Snapshot,
                           "feed blob '%s': core %u has more LLC-bound "
                           "records than records",
                           path.c_str(), c);
-        view.recs = reinterpret_cast<const StepRecord *>(
-            arrayAt(recOff, view.count * sizeof(StepRecord), "record"));
-        view.cumA = reinterpret_cast<const std::uint64_t *>(
-            arrayAt(aOff, view.count * 8, "cumA"));
-        view.cumI = reinterpret_cast<const std::uint64_t *>(
-            arrayAt(iOff, view.count * 8, "cumI"));
         view.llc = reinterpret_cast<const std::uint64_t *>(
-            arrayAt(llcOff, view.llcCount * 8, "llc index"));
-        const auto loadSnaps = [&](std::vector<Snap> &out) {
-            const std::uint64_t n = d.getU64();
-            if (n > (view.count / 64) + 16)
-                throwSimError(SimError::Kind::Snapshot,
-                              "feed blob '%s': implausible snapshot "
-                              "count %llu",
-                              path.c_str(),
-                              static_cast<unsigned long long>(n));
-            out.resize(static_cast<std::size_t>(n));
-            for (Snap &snap : out) {
-                snap.idx = d.getU64();
-                const std::string image = d.getString();
-                snap.image.assign(image.begin(), image.end());
+            arrayAt(llcOff, view.llcCount * 8, 8, "llc index"));
+        view.chunks.resize(nchunks);
+        view.streamSnaps.resize(nchunks);
+        view.hierSnaps.resize(nchunks);
+        for (std::uint64_t k = 0; k < nchunks; ++k) {
+            view.chunks[k] = arrayAt(d.getU64(), kChunkBlockBytes, 64,
+                                     "chunk block");
+            for (Snap *snap : {&view.streamSnaps[k], &view.hierSnaps[k]}) {
+                const std::uint64_t off = d.getU64();
+                const std::uint64_t len = d.getU64();
+                snap->idx = k * kFeedChunk;
+                snap->data = arrayAt(off, len, 64, "snapshot");
+                snap->len = static_cast<std::size_t>(len);
             }
-        };
-        loadSnaps(view.streamSnaps);
-        loadSnaps(view.hierSnaps);
+        }
         d.endSection("core");
     }
     d.endSection("feedmeta");
     return blob;
+}
+
+// --------------------------------------------------------------------
+// FeedSpill
+
+void
+FeedSpill::forceNamedForTest(bool on)
+{
+    forceNamedSpill.store(on, std::memory_order_relaxed);
+}
+
+FeedSpill::FeedSpill(const std::string &dir, std::uint32_t cores)
+    : pos(align64(kHeaderBytes)), synced(pos), chunks(cores), llc(cores)
+{
+    std::string where = dir;
+    if (where.empty()) {
+        const char *tmpdir = std::getenv("TMPDIR");
+        where = tmpdir && *tmpdir ? tmpdir : "/tmp";
+    }
+#ifdef O_TMPFILE
+    if (!forceNamedSpill.load(std::memory_order_relaxed))
+        fd = ::open(where.c_str(), O_TMPFILE | O_RDWR | O_CLOEXEC, 0644);
+#endif
+    if (fd < 0) {
+        // No O_TMPFILE on this filesystem: a named pid-unique tmp that
+        // the destructor unlinks and recovery sweeps once we are gone.
+        named = uniqueTmpPath(where + "/capture");
+        fd = ::open(named.c_str(), O_RDWR | O_CREAT | O_EXCL | O_CLOEXEC,
+                    0644);
+        if (fd < 0) {
+            const int err = errno;
+            named.clear();
+            throwSimError(SimError::Kind::Io,
+                          "cannot create a feed spill in '%s': %s",
+                          where.c_str(), std::strerror(err));
+        }
+    }
+}
+
+FeedSpill::~FeedSpill()
+{
+    if (fd >= 0)
+        ::close(fd);
+    if (!named.empty())
+        ::unlink(named.c_str());
+}
+
+void
+FeedSpill::writeAt(const void *data, std::size_t len, std::uint64_t off)
+{
+    const std::uint8_t *p = static_cast<const std::uint8_t *>(data);
+    while (len != 0 && !failed) {
+        const ssize_t n = ::pwrite(fd, p, len, static_cast<off_t>(off));
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0) {
+            warn("feed cache: capture spill write failed (%s); this "
+                 "feed will not be stored",
+                 n < 0 ? std::strerror(errno) : "no progress");
+            failed = true;
+            return;
+        }
+        p += n;
+        len -= static_cast<std::size_t>(n);
+        off += static_cast<std::uint64_t>(n);
+    }
+}
+
+std::uint64_t
+FeedSpill::emitPadded(const void *data, std::size_t len)
+{
+    const std::uint64_t at = pos;
+    if (len == 0)
+        return at;
+    const std::uint64_t padded = align64(len);
+    static const std::uint8_t zeros[kArraysAlign] = {};
+    writeAt(data, len, pos);
+    writeAt(zeros, padded - len, pos + len);
+    // Hash exactly the bytes that land: whole words, then the partial
+    // tail word and the padding as zeros.
+    const std::size_t whole = len & ~static_cast<std::size_t>(7);
+    hash.words(data, whole);
+    std::uint8_t tail[kArraysAlign] = {};
+    std::memcpy(tail, static_cast<const std::uint8_t *>(data) + whole,
+                len - whole);
+    hash.words(tail, padded - whole);
+    pos += padded;
+    return at;
+}
+
+void
+FeedSpill::appendChunk(std::uint32_t core, const StepRecord *recs,
+                       const std::uint64_t *cumA, const std::uint64_t *cumI,
+                       const std::vector<std::uint8_t> &streamSnap,
+                       const std::vector<std::uint8_t> &hierSnap)
+{
+    if (failed)
+        return;
+    ChunkEntry e;
+    e.block = emitPadded(recs, kChunkCumAOff);
+    emitPadded(cumA, kChunkCumIOff - kChunkCumAOff);
+    emitPadded(cumI, kChunkBlockBytes - kChunkCumIOff);
+    e.streamOff = emitPadded(streamSnap.data(), streamSnap.size());
+    e.streamLen = streamSnap.size();
+    e.hierOff = emitPadded(hierSnap.data(), hierSnap.size());
+    e.hierLen = hierSnap.size();
+    chunks[core].push_back(e);
+    startWriteback();
+}
+
+void
+FeedSpill::startWriteback()
+{
+    // Kick off asynchronous writeback of what has accumulated, so the
+    // fsync in land() waits for the tail only, not the whole blob.
+#ifdef SYNC_FILE_RANGE_WRITE
+    if (pos - synced >= kWritebackStride) {
+        (void)::sync_file_range(fd, static_cast<off_t>(synced),
+                                static_cast<off_t>(pos - synced),
+                                SYNC_FILE_RANGE_WRITE);
+        synced = pos;
+    }
+#endif
+}
+
+bool
+FeedSpill::linkInto(const std::string &tmp)
+{
+    // Same filesystem: give the spill a second name.  An unnamed spill
+    // is linked through its /proc/self/fd entry.
+    const std::string self = "/proc/self/fd/" + std::to_string(fd);
+    const int linked =
+        named.empty() ? ::linkat(AT_FDCWD, self.c_str(), AT_FDCWD,
+                                 tmp.c_str(), AT_SYMLINK_FOLLOW)
+                      : ::link(named.c_str(), tmp.c_str());
+    if (linked == 0)
+        return true;
+    // Another filesystem (a spill opened without the cache directory):
+    // copy the sealed bytes into the staging file.
+    const int out =
+        ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
+    if (out < 0)
+        return false;
+    std::vector<std::uint8_t> buf(1u << 20);
+    bool ok = true;
+    for (off_t off = 0; ok;) {
+        const ssize_t n = ::pread(fd, buf.data(), buf.size(), off);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0) {
+            ok = n == 0;
+            break;
+        }
+        for (ssize_t done = 0; ok && done < n;) {
+            const ssize_t w = ::write(out, buf.data() + done,
+                                      static_cast<std::size_t>(n - done));
+            if (w < 0 && errno == EINTR)
+                continue;
+            ok = w > 0;
+            done += w;
+        }
+        off += n;
+    }
+    ok = ok && ::fsync(out) == 0;
+    ::close(out);
+    return ok;
+}
+
+bool
+FeedSpill::land(const std::string &path, const FeedKey &key,
+                const std::vector<std::string> &labels)
+{
+    RC_ASSERT(labels.size() == chunks.size(),
+              "feed spill has %zu cores, %zu labels given", chunks.size(),
+              labels.size());
+    const std::uint64_t arraysOff = align64(kHeaderBytes);
+    std::vector<std::uint64_t> llcOff(chunks.size());
+    for (std::size_t c = 0; c < chunks.size(); ++c)
+        llcOff[c] = emitPadded(llc[c].data(), llc[c].size() * 8);
+    const std::uint64_t arraysBytes = pos - arraysOff;
+
+    // Meta region: a complete snapshot container of its own.
+    Serializer meta;
+    meta.beginSection("feedmeta");
+    meta.putU64(key.digest);
+    meta.putString(std::string(key.bytes.begin(), key.bytes.end()));
+    meta.putU64(kFeedChunk);
+    meta.putU32(static_cast<std::uint32_t>(chunks.size()));
+    for (std::size_t c = 0; c < chunks.size(); ++c) {
+        meta.beginSection("core");
+        meta.putString(labels[c]);
+        meta.putU64(chunks[c].size());
+        meta.putU64(llc[c].size());
+        meta.putU64(llcOff[c]);
+        for (const ChunkEntry &e : chunks[c]) {
+            meta.putU64(e.block);
+            meta.putU64(e.streamOff);
+            meta.putU64(e.streamLen);
+            meta.putU64(e.hierOff);
+            meta.putU64(e.hierLen);
+        }
+        meta.endSection("core");
+    }
+    meta.endSection("feedmeta");
+    const std::vector<std::uint8_t> metaImg = meta.image();
+    const std::uint64_t metaOff = pos;
+    writeAt(metaImg.data(), metaImg.size(), metaOff);
+
+    std::uint8_t hdr[kHeaderBytes];
+    std::memcpy(hdr, kMagic, sizeof(kMagic));
+    st32(hdr + kOffVersion, kFeedVersion);
+    st32(hdr + kOffRecordBytes, sizeof(StepRecord));
+    st64(hdr + kOffFileBytes, metaOff + metaImg.size());
+    st64(hdr + kOffArraysOff, arraysOff);
+    st64(hdr + kOffArraysBytes, arraysBytes);
+    st64(hdr + kOffArraysHash, hash.done());
+    st64(hdr + kOffMetaOff, metaOff);
+    st64(hdr + kOffMetaBytes, metaImg.size());
+    st32(hdr + kOffEndianTag, kEndianTag);
+    st32(hdr + kOffHeaderCrc, crc32(hdr, kOffHeaderCrc));
+    writeAt(hdr, kHeaderBytes, 0);
+    // Whatever happens below, this spill has been sealed once.
+    const bool sealed = !failed;
+    failed = true;
+    if (!sealed)
+        return false;
+    if (::fsync(fd) != 0) {
+        warn("feed cache: cannot flush feed blob for '%s': %s",
+             path.c_str(), std::strerror(errno));
+        return false;
+    }
+    const std::string tmp = uniqueTmpPath(path);
+    if (!linkInto(tmp) || std::rename(tmp.c_str(), path.c_str()) != 0) {
+        warn("feed cache: cannot land blob '%s': %s", path.c_str(),
+             std::strerror(errno));
+        ::unlink(tmp.c_str());
+        return false;
+    }
+    return true;
 }
 
 // --------------------------------------------------------------------
@@ -449,8 +707,9 @@ void
 FeedCache::recover()
 {
     // Same discipline as the result cache: blobs are the source of
-    // truth, unindexed blobs are adopted, stale tmps of a killed writer
-    // are swept, and the index is rewritten compacted.  Lock files are
+    // truth, unindexed blobs are adopted, tmps of a dead writer are
+    // swept (a live sibling's spill or staged blob is left alone), and
+    // the index is rewritten compacted.  Lock files are
     // left alone — a live process may hold them, and replacing a held
     // lock file's inode would split the mutual exclusion.
     std::unordered_set<std::uint64_t> indexed;
@@ -472,23 +731,16 @@ FeedCache::recover()
         throwSimError(SimError::Kind::Io,
                       "cannot scan feed cache directory '%s': %s",
                       dir.c_str(), std::strerror(errno));
-    std::vector<std::string> staleTmp;
     while (struct dirent *ent = ::readdir(d)) {
-        const std::string name = ent->d_name;
-        if (name.size() > 4 && name.substr(name.size() - 4) == ".tmp") {
-            staleTmp.push_back(dir + "/" + name);
-            continue;
-        }
         std::uint64_t digest = 0;
-        if (!digestFromBlobName(name, digest))
+        if (!digestFromBlobName(ent->d_name, digest))
             continue;
         known.insert(digest);
         if (!indexed.count(digest))
             ++counters.recovered;
     }
     ::closedir(d);
-    for (const std::string &tmp : staleTmp)
-        ::unlink(tmp.c_str());
+    sweepDeadTmps(dir);
     persistIndex();
 }
 
@@ -581,163 +833,18 @@ FeedCache::lockKey(std::uint64_t digest)
 }
 
 void
-FeedCache::store(const FeedKey &key, const FanoutFeed &feed)
+FeedCache::store(const FeedKey &key, FanoutFeed &feed)
 {
     RC_ASSERT(feed.capturing(),
               "feed-cache store needs a capture-mode feed");
-    const std::string path = blobPath(key.digest);
-    const std::string tmp =
-        path + "." + std::to_string(::getpid()) + ".tmp";
-
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (!f) {
-        warn("feed cache: cannot persist %s: %s",
-             feedDigestHex(key.digest).c_str(), std::strerror(errno));
+    const std::unique_ptr<FeedSpill> spill = std::move(feed.spill);
+    if (!spill) {
+        warn("feed cache: nothing captured to persist for %s",
+             feedDigestHex(key.digest).c_str());
         return;
     }
-    bool ok = false;
-    try {
-        const std::uint32_t cores = feed.numCores();
-        const std::uint64_t arraysOff = align64(kHeaderBytes);
-
-        // Lay the arrays region out up front so the meta section can
-        // carry absolute offsets.
-        struct CoreLayout
-        {
-            std::uint64_t count = 0, llcCount = 0;
-            std::uint64_t recOff = 0, aOff = 0, iOff = 0, llcOff = 0;
-        };
-        std::vector<CoreLayout> lay(cores);
-        std::uint64_t off = arraysOff;
-        for (std::uint32_t c = 0; c < cores; ++c) {
-            const FanoutFeed::PerCore &pc = feed.per[c];
-            RC_ASSERT(pc.base == 0,
-                      "capture-mode feed was trimmed; cannot store");
-            CoreLayout &l = lay[c];
-            l.count = pc.generated;
-            l.llcCount = pc.llcIdx.size();
-            l.recOff = align64(off);
-            off = l.recOff + l.count * sizeof(StepRecord);
-            l.aOff = align64(off);
-            off = l.aOff + l.count * 8;
-            l.iOff = align64(off);
-            off = l.iOff + l.count * 8;
-            l.llcOff = align64(off);
-            off = l.llcOff + l.llcCount * 8;
-        }
-        const std::uint64_t arraysBytes = off - arraysOff;
-        const std::uint64_t metaOff = off;
-
-        // Meta region: a complete snapshot container of its own.
-        Serializer meta;
-        meta.beginSection("feedmeta");
-        meta.putU64(key.digest);
-        meta.putString(
-            std::string(key.bytes.begin(), key.bytes.end()));
-        meta.putU32(cores);
-        for (std::uint32_t c = 0; c < cores; ++c) {
-            const FanoutFeed::PerCore &pc = feed.per[c];
-            const CoreLayout &l = lay[c];
-            meta.beginSection("core");
-            meta.putString(feed.labels[c]);
-            meta.putU64(l.count);
-            meta.putU64(l.llcCount);
-            meta.putU64(l.recOff);
-            meta.putU64(l.aOff);
-            meta.putU64(l.iOff);
-            meta.putU64(l.llcOff);
-            meta.putU64(pc.snaps.size());
-            for (const FanoutFeed::StreamSnap &snap : pc.snaps) {
-                meta.putU64(snap.idx);
-                meta.putString(std::string(snap.image.begin(),
-                                           snap.image.end()));
-            }
-            meta.putU64(pc.hsnaps.size());
-            for (const FanoutFeed::HierSnap &snap : pc.hsnaps) {
-                meta.putU64(snap.idx);
-                meta.putString(std::string(snap.image.begin(),
-                                           snap.image.end()));
-            }
-            meta.endSection("core");
-        }
-        meta.endSection("feedmeta");
-        const std::vector<std::uint8_t> metaImg = meta.image();
-
-        // Placeholder header + padding, then the arrays (hashed as
-        // written, padding included), then meta; the sealed header is
-        // patched in last.
-        static const std::uint8_t zeros[kArraysAlign] = {};
-        fwriteAll(f, zeros, kHeaderBytes, tmp.c_str());
-        fwriteAll(f, zeros, arraysOff - kHeaderBytes, tmp.c_str());
-        FeedHasher hash;
-        std::uint64_t pos = arraysOff;
-        const auto pad = [&](std::uint64_t to) {
-            RC_ASSERT(to >= pos && to - pos < kArraysAlign,
-                      "feed blob layout drifted while writing");
-            fwriteAll(f, zeros, to - pos, tmp.c_str());
-            hash.words(zeros, to - pos);
-            pos = to;
-        };
-        const auto emit = [&](const void *data, std::uint64_t bytes) {
-            fwriteAll(f, data, bytes, tmp.c_str());
-            hash.words(data, bytes);
-            pos += bytes;
-        };
-        for (std::uint32_t c = 0; c < cores; ++c) {
-            const FanoutFeed::PerCore &pc = feed.per[c];
-            const CoreLayout &l = lay[c];
-            pad(l.recOff);
-            // Capture mode never trims, so the ring's power-of-2 slot
-            // mapping is the identity over [0, generated) and the ring
-            // IS the flat record array.
-            emit(pc.ring.data(), l.count * sizeof(StepRecord));
-            pad(l.aOff);
-            emit(pc.cumA.data(), l.count * 8);
-            pad(l.iOff);
-            emit(pc.cumI.data(), l.count * 8);
-            pad(l.llcOff);
-            const std::vector<std::uint64_t> llc(pc.llcIdx.begin(),
-                                                 pc.llcIdx.end());
-            emit(llc.data(), l.llcCount * 8);
-        }
-        RC_ASSERT(pos == metaOff, "feed blob arrays region drifted");
-        fwriteAll(f, metaImg.data(), metaImg.size(), tmp.c_str());
-
-        std::uint8_t hdr[kHeaderBytes];
-        std::memcpy(hdr, kMagic, sizeof(kMagic));
-        st32(hdr + kOffVersion, kFeedVersion);
-        st32(hdr + kOffRecordBytes, sizeof(StepRecord));
-        st64(hdr + kOffFileBytes, metaOff + metaImg.size());
-        st64(hdr + kOffArraysOff, arraysOff);
-        st64(hdr + kOffArraysBytes, arraysBytes);
-        st64(hdr + kOffArraysHash, hash.done());
-        st64(hdr + kOffMetaOff, metaOff);
-        st64(hdr + kOffMetaBytes, metaImg.size());
-        st32(hdr + kOffEndianTag, kEndianTag);
-        st32(hdr + kOffHeaderCrc, crc32(hdr, kOffHeaderCrc));
-        if (std::fseek(f, 0, SEEK_SET) != 0)
-            throwSimError(SimError::Kind::Io,
-                          "cannot rewind feed blob '%s'", tmp.c_str());
-        fwriteAll(f, hdr, kHeaderBytes, tmp.c_str());
-        if (std::fflush(f) != 0 || ::fsync(::fileno(f)) != 0)
-            throwSimError(SimError::Kind::Io,
-                          "cannot flush feed blob '%s': %s", tmp.c_str(),
-                          std::strerror(errno));
-        ok = true;
-    } catch (const SimError &err) {
-        // Failing to persist costs a future front-end recompute,
-        // nothing else.
-        warn("feed cache: cannot persist %s: %s",
-             feedDigestHex(key.digest).c_str(), err.what());
-    }
-    std::fclose(f);
-    if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
-        ::unlink(tmp.c_str());
-        if (ok)
-            warn("feed cache: cannot land blob '%s': %s", path.c_str(),
-                 std::strerror(errno));
+    if (!spill->land(blobPath(key.digest), key, feed.labels))
         return;
-    }
     appendIndex(key.digest);
     std::lock_guard<std::mutex> lock(mu);
     known.insert(key.digest);
@@ -783,11 +890,10 @@ FeedCache::persistIndex()
         snapshot = known;
     }
     const std::string path = dir + "/" + kIndexName;
-    // pid-unique tmp (same convention as blob tmps, so recovery sweeps
-    // it): two processes compacting at once must not clobber each
-    // other's staging file — either rename landing is correct.
-    const std::string tmp =
-        path + "." + std::to_string(::getpid()) + ".tmp";
+    // pid-unique tmp (so recovery sweeps it once its writer is dead):
+    // two processes compacting at once must not clobber each other's
+    // staging file — either rename landing is correct.
+    const std::string tmp = uniqueTmpPath(path);
     std::FILE *f = std::fopen(tmp.c_str(), "wb");
     if (!f) {
         warn("feed cache: cannot rewrite index '%s': %s", path.c_str(),

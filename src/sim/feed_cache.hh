@@ -12,31 +12,46 @@
  * per sweep; this module makes it durable, so even a never-before-seen
  * SLLC config skips the front end entirely.
  *
- * Blob format `RCFEED1` (one file per key, `feed-<digest16>.bin`):
+ * Blob format `RCFEED2` (one file per key, `feed-<digest16>.bin`):
  *
- *   [0..71]    72-byte fixed header: magic "RCFEED1\0", format version,
+ *   [0..71]    72-byte fixed header: magic "RCFEED2\0", format version,
  *              sizeof(StepRecord), total file bytes, arrays region
  *              offset/length/hash, meta region offset/length, an
  *              endianness tag, and a CRC32 over the preceding header
  *              bytes.
- *   arrays     per-core flat arrays, each 64-byte aligned: StepRecords,
- *              inclusive cumA/cumI prefix sums, and the LLC-bound
- *              record index.  Guarded by a 64-bit word-stride hash
+ *   arrays     one entry per front-end chunk (kFeedChunk records of one
+ *              core) in the order the chunks were generated: a
+ *              fixed-size 64-byte aligned block holding the chunk's
+ *              StepRecords, then its inclusive cumA prefix sums, then
+ *              its cumI sums; then the chunk-boundary stream and
+ *              virgin-hierarchy snapshot images (each padded to 64).
+ *              After the last chunk, each core's LLC-bound record
+ *              index.  Guarded by a 64-bit word-stride hash
  *              (feedHash64) rather than byte-wise CRC32 so a warm open
  *              validates at memory bandwidth.
  *   meta       a complete snapshot-container image (RCSNAP01, its own
- *              CRC32): the full canonical key bytes, per-core labels,
- *              counts, array offsets, and every chunk-boundary stream +
- *              virgin-hierarchy snapshot the express lane needs.
+ *              CRC32): the full canonical key bytes, the chunk size, and
+ *              per core its label, chunk count, LLC index length and
+ *              offset, and chunk table (block and snapshot offsets of
+ *              every chunk).
+ *
+ * Capture streams: a capturing FanoutFeed appends each chunk to an
+ * unnamed spill file (FeedSpill) as soon as it is generated, hashing as
+ * it goes, and trims its live window exactly like a plain feed.
+ * store() then only appends the LLC index, meta and header, fsyncs and
+ * links the file into place, so capture costs about what plain fan-out
+ * costs and holds no more memory.
  *
  * The arrays region is consumed zero-copy: a warm FanoutFeed reads
- * StepRecords straight out of the mmap.  Lookups verify the header CRC,
- * the arrays hash, the meta container CRC, AND compare the stored key
- * bytes against the probe — a corrupt blob or digest collision demotes
- * to a miss (corruption additionally unlinks the blob), never a wrong
- * answer.  Writes follow the ResultCache crash-safety discipline:
- * tmp + fsync + rename, a flock-guarded append-only `feed.index`, and
- * startup recovery that adopts unindexed blobs and sweeps stale tmps.
+ * StepRecords and prefix sums through the chunk table straight out of
+ * the mmap.  Lookups verify the header CRC, the format version, the
+ * arrays hash, the meta container CRC, AND compare the stored key
+ * bytes against the probe — a corrupt or stale-format blob or a digest
+ * collision demotes to a miss (corruption additionally unlinks the
+ * blob), never a wrong answer.  Writes follow the ResultCache
+ * crash-safety discipline: tmp + fsync + rename, a flock-guarded
+ * append-only `feed.index`, and startup recovery that adopts unindexed
+ * blobs and sweeps the tmps of dead writers.
  */
 
 #ifndef RC_SIM_FEED_CACHE_HH
@@ -96,6 +111,37 @@ std::string feedDigestHex(std::uint64_t digest);
 std::uint64_t feedHash64(const void *data, std::size_t len);
 
 /**
+ * Streaming form of feedHash64; every update must be word-granular (the
+ * blob layout only ever produces multiple-of-8 spans).  Word i of the
+ * stream feeds lane i % 4, so the four multiply chains run in parallel
+ * and hashing keeps up with memory bandwidth on capture and on a warm
+ * open alike.
+ */
+struct FeedHasher
+{
+    std::uint64_t lane[4] = {0x9e3779b97f4a7c15ull, 0xbf58476d1ce4e5b9ull,
+                             0x94d049bb133111ebull, 0x2545f4914f6cdd1dull};
+    std::uint64_t total = 0; //!< bytes hashed so far
+
+    void words(const void *data, std::size_t len);
+    std::uint64_t done() const;
+};
+
+/** Records per front-end chunk: the generation unit, the snapshot
+ *  cadence and the RCFEED2 block size (a power of two, so a flat record
+ *  index splits into chunk and slot with a shift and a mask). */
+inline constexpr std::uint64_t kFeedChunk = 4096;
+inline constexpr unsigned kFeedChunkShift = 12;
+static_assert(kFeedChunk == 1ull << kFeedChunkShift);
+
+//! Byte offsets inside an RCFEED2 chunk block: records, cumA, cumI.
+inline constexpr std::uint64_t kChunkCumAOff =
+    kFeedChunk * sizeof(StepRecord);
+inline constexpr std::uint64_t kChunkCumIOff = kChunkCumAOff + kFeedChunk * 8;
+inline constexpr std::uint64_t kChunkBlockBytes =
+    kChunkCumIOff + kFeedChunk * 8;
+
+/**
  * One mapped blob.  Owns the mmap; CoreView pointers alias it, so a
  * FanoutFeed replaying from the blob keeps the shared_ptr alive.
  * Open() validates header CRC, arrays hash and the meta container
@@ -105,25 +151,27 @@ std::uint64_t feedHash64(const void *data, std::size_t len);
 class FeedBlob
 {
   public:
-    /** A chunk-boundary stream or virgin-hierarchy snapshot. */
+    /** A chunk-boundary stream or virgin-hierarchy snapshot image
+     *  (Serializer::image() bytes), viewed inside the mapping. */
     struct Snap
     {
-        std::uint64_t idx = 0;           //!< first record it precedes
-        std::vector<std::uint8_t> image; //!< Serializer::image() bytes
+        std::uint64_t idx = 0; //!< first record it precedes
+        const std::uint8_t *data = nullptr;
+        std::size_t len = 0;
     };
 
-    /** Zero-copy view of one core's arrays inside the mapping. */
+    /** Zero-copy view of one core's chunks inside the mapping. */
     struct CoreView
     {
         std::string label;
-        const StepRecord *recs = nullptr;
-        const std::uint64_t *cumA = nullptr;
-        const std::uint64_t *cumI = nullptr;
+        //! Block of chunk k (records k*kFeedChunk onwards); see
+        //! kChunkCumAOff/kChunkCumIOff for the prefix sums inside it.
+        std::vector<const std::uint8_t *> chunks;
         const std::uint64_t *llc = nullptr;
         std::uint64_t count = 0;    //!< records (chunk-aligned)
         std::uint64_t llcCount = 0; //!< LLC-bound records
-        std::vector<Snap> streamSnaps;
-        std::vector<Snap> hierSnaps;
+        std::vector<Snap> streamSnaps; //!< one per chunk
+        std::vector<Snap> hierSnaps;   //!< one per chunk
     };
 
     /** Map and validate @p path; throws SimError(Kind::Snapshot). */
@@ -152,6 +200,85 @@ class FeedBlob
     std::vector<std::uint8_t> key;
     std::uint64_t keyDigest = 0;
     std::vector<CoreView> cores;
+};
+
+/**
+ * Streaming writer of one RCFEED2 blob: the file a capturing
+ * FanoutFeed appends each generated chunk to while it runs.
+ *
+ * The spill is an unnamed O_TMPFILE in its directory where the
+ * filesystem supports that, so a dropped or killed capture leaves
+ * nothing behind; otherwise a pid-unique `capture.<pid>.<seq>.tmp` that
+ * the destructor unlinks and FeedCache recovery sweeps once its writer
+ * is dead.  Appends hash as they go and start writeback early, so
+ * land() has only the LLC index, meta, header and fsync left to do.
+ * I/O failures never throw out of the simulation: the spill turns
+ * inert, and land() reports that nothing can be stored.
+ */
+class FeedSpill
+{
+  public:
+    /**
+     * Open a spill for @p cores cores in @p dir (the feed cache's
+     * directory, so landing is a link; empty = $TMPDIR or /tmp).
+     * Throws SimError(Kind::Io) when no file can be created.
+     */
+    FeedSpill(const std::string &dir, std::uint32_t cores);
+
+    ~FeedSpill();
+
+    FeedSpill(const FeedSpill &) = delete;
+    FeedSpill &operator=(const FeedSpill &) = delete;
+
+    /** Append the next chunk of @p core: kFeedChunk records and their
+     *  prefix sums, plus the snapshots taken before it was generated. */
+    void appendChunk(std::uint32_t core, const StepRecord *recs,
+                     const std::uint64_t *cumA, const std::uint64_t *cumI,
+                     const std::vector<std::uint8_t> &streamSnap,
+                     const std::vector<std::uint8_t> &hierSnap);
+
+    /** Note that record @p idx of @p core is LLC-bound (ascending). */
+    void appendLlc(std::uint32_t core, std::uint64_t idx)
+    {
+        llc[core].push_back(idx);
+    }
+
+    /**
+     * Seal the blob (LLC index, meta, header), fsync it and atomically
+     * rename it to @p path.  @return false (after a warning) when any
+     * step failed; nothing is left under @p path then.
+     */
+    bool land(const std::string &path, const FeedKey &key,
+              const std::vector<std::string> &labels);
+
+    /** Spill into a named pid-unique tmp even where O_TMPFILE works
+     *  (tests exercise the named path's crash safety with it). */
+    static void forceNamedForTest(bool on);
+
+  private:
+    /** Where one chunk's pieces landed in the arrays region. */
+    struct ChunkEntry
+    {
+        std::uint64_t block = 0;
+        std::uint64_t streamOff = 0, streamLen = 0;
+        std::uint64_t hierOff = 0, hierLen = 0;
+    };
+
+    /** Append @p len bytes, zero-padded to 64, hashing exactly what
+     *  lands in the file.  @return the offset they start at. */
+    std::uint64_t emitPadded(const void *data, std::size_t len);
+    void writeAt(const void *data, std::size_t len, std::uint64_t off);
+    void startWriteback();
+    bool linkInto(const std::string &tmp);
+
+    int fd = -1;
+    std::string named; //!< path of a named spill; empty when unnamed
+    std::uint64_t pos = 0;    //!< next append offset
+    std::uint64_t synced = 0; //!< writeback started below this offset
+    bool failed = false;
+    FeedHasher hash;
+    std::vector<std::vector<ChunkEntry>> chunks; //!< [core]
+    std::vector<std::vector<std::uint64_t>> llc; //!< [core]
 };
 
 /** Monotonic counters exported into daemon stats JSON / bench output. */
@@ -209,11 +336,13 @@ class FeedCache
     std::shared_ptr<const FeedBlob> lookup(const FeedKey &key);
 
     /**
-     * Persist @p feed's captured record streams under @p key (atomic
-     * tmp+fsync+rename blob, flock-guarded index append).  The feed
-     * must have been constructed in capture mode.
+     * Persist @p feed's captured record streams under @p key: seal its
+     * spill and land it (atomic tmp+fsync+rename blob, flock-guarded
+     * index append).  The feed must have been constructed in capture
+     * mode; storing consumes its spill, so a second store() of the same
+     * feed stores nothing.
      */
-    void store(const FeedKey &key, const FanoutFeed &feed);
+    void store(const FeedKey &key, FanoutFeed &feed);
 
     /** Number of blobs currently believed present. */
     std::size_t size() const;

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include "common/log.hh"
+#include "common/tmpfile.hh"
 
 namespace rc
 {
@@ -139,7 +140,7 @@ void
 Serializer::writeFile(const std::string &path) const
 {
     const std::vector<std::uint8_t> bytes = image();
-    const std::string tmp = path + ".tmp";
+    const std::string tmp = uniqueTmpPath(path);
     std::FILE *f = std::fopen(tmp.c_str(), "wb");
     if (!f)
         throwSimError(SimError::Kind::Snapshot,

@@ -69,10 +69,12 @@ class Serializer
     std::uint32_t payloadCrc() const;
 
     /**
-     * Atomically write image() to @p path: the bytes go to a ".tmp"
-     * sibling which is fsync'd and then renamed over the target, so a
-     * crash mid-write can never leave a half-written checkpoint under
-     * the final name.  Throws SimError(Snapshot) on any I/O failure.
+     * Atomically write image() to @p path: the bytes go to a
+     * pid-unique ".tmp" sibling (uniqueTmpPath()) which is fsync'd and
+     * then renamed over the target, so a crash mid-write can never
+     * leave a half-written checkpoint under the final name, and two
+     * writers of one path never share a staging file.  Throws
+     * SimError(Snapshot) on any I/O failure.
      */
     void writeFile(const std::string &path) const;
 

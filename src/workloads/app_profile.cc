@@ -1,7 +1,5 @@
 #include "workloads/app_profile.hh"
 
-#include <cstdlib>
-
 #include "common/log.hh"
 
 namespace rc
@@ -60,13 +58,6 @@ makeSpecAnalog(const std::string &name, double l1_mpki, double l2_mpki,
         reuse.weight = llc_hit_rate / refs_per_ki;
         reuse.regionBytes = llc_region_bytes;
         reuse.zipfS = zipf_s;
-        // Temporary calibration hooks (see DESIGN.md): sweep the reuse
-        // region size and skew without recompiling.
-        if (const char *m = std::getenv("RC_ZR_MULT"))
-            reuse.regionBytes = static_cast<std::uint64_t>(
-                reuse.regionBytes * std::atof(m));
-        if (const char *a = std::getenv("RC_ZS_ADD"))
-            reuse.zipfS += std::atof(a);
         app.components.push_back(reuse);
     }
 

@@ -1,31 +1,41 @@
 /**
  * @file
  * Persistent feed-cache tests: a FanoutCmp replaying records out of a
- * warm RCFEED1 blob must leave every member — including the arena's
- * CRC2-family ports — in exactly the state the cold capturing run
- * reached (same stats, same cycle count, same mid-run checkpoint
- * bytes); the canonical key must be sensitive to everything that shapes
- * the front end and insensitive to SLLC-only config changes; a corrupt
- * blob of every feed FaultClass must demote to a verified recompute and
- * be unlinked; and two processes racing one cold key through the flock
- * lease must end with one blob and identical results.
+ * warm RCFEED2 blob must leave every member — including every arena
+ * policy — in exactly the state the cold capturing run reached (same
+ * stats, same cycle count, same mid-run checkpoint bytes); the
+ * canonical key must be sensitive to everything that shapes the front
+ * end and insensitive to SLLC-only config changes; a corrupt blob of
+ * every feed FaultClass, and a blob of the older RCFEED1 format, must
+ * demote to a verified recompute and be unlinked; and two processes
+ * racing one cold key through the flock lease must end with one blob
+ * and identical results.  Capture itself must stay bounded (its live
+ * ring no larger than a plain feed's over a full Fig. 4 window), leave
+ * nothing behind when dropped, and survive a sibling process's
+ * recovery pass mid-capture.
  */
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
+#include <dirent.h>
 #include <fcntl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include "arena/arena_registry.hh"
 #include "cache/replacement.hh"
+#include "common/tmpfile.hh"
 #include "sim/cmp.hh"
 #include "sim/fanout.hh"
 #include "sim/feed_cache.hh"
@@ -59,16 +69,30 @@ mixFactory()
     return [] { return buildMixStreams(testMix(), kSeed, kScale); };
 }
 
-/** {conventional, arena ports, reuse, NCID} behind one front end. */
+/** {conventional LLC under every arena policy, reuse, NCID} behind
+ *  one front end. */
 std::vector<SystemConfig>
 matrixConfigs()
 {
     std::vector<SystemConfig> cfgs;
-    cfgs.push_back(conventionalSystem(8.0, ReplKind::LRU, kScale));
-    cfgs.push_back(conventionalSystem(8.0, ReplKind::Ship, kScale));
-    cfgs.push_back(conventionalSystem(8.0, ReplKind::Redre, kScale));
+    for (const arena::PolicyInfo &p : arena::policyRegistry()) {
+        cfgs.push_back(conventionalSystem(8.0, ReplKind::LRU, kScale));
+        cfgs.back().conv.repl = p.kind;
+    }
     cfgs.push_back(reuseSystem(4.0, 1.0, 16, kScale));
     cfgs.push_back(ncidSystem(8.0, 1.0, kScale));
+    for (SystemConfig &c : cfgs)
+        c.seed = kSeed;
+    return cfgs;
+}
+
+/** A conventional and a reuse cache: the cheap pair for protocol tests. */
+std::vector<SystemConfig>
+pairConfigs()
+{
+    std::vector<SystemConfig> cfgs;
+    cfgs.push_back(conventionalSystem(8.0, ReplKind::LRU, kScale));
+    cfgs.push_back(reuseSystem(4.0, 1.0, 16, kScale));
     for (SystemConfig &c : cfgs)
         c.seed = kSeed;
     return cfgs;
@@ -111,6 +135,29 @@ removeTree(const std::string &dir)
     const std::string cmd = "rm -rf '" + dir + "'";
     (void)std::system(cmd.c_str());
 }
+
+/** Names in @p dir (without "." and ".."). */
+std::vector<std::string>
+listDir(const std::string &dir)
+{
+    std::vector<std::string> names;
+    if (DIR *d = ::opendir(dir.c_str())) {
+        while (struct dirent *ent = ::readdir(d)) {
+            const std::string name = ent->d_name;
+            if (name != "." && name != "..")
+                names.push_back(name);
+        }
+        ::closedir(d);
+    }
+    return names;
+}
+
+/** Spill captures through named pid-unique tmps for one scope. */
+struct NamedSpill
+{
+    NamedSpill() { FeedSpill::forceNamedForTest(true); }
+    ~NamedSpill() { FeedSpill::forceNamedForTest(false); }
+};
 
 /** Drive @p fan through the standard warmup+measure window. */
 void
@@ -209,11 +256,7 @@ TEST(FeedCacheTest, WarmCheckpointsByteIdenticalToCold)
 {
     const std::string dir = scratchDir("rc-feed-ckpt");
     removeTree(dir);
-    std::vector<SystemConfig> cfgs;
-    cfgs.push_back(conventionalSystem(8.0, ReplKind::LRU, kScale));
-    cfgs.push_back(reuseSystem(4.0, 1.0, 16, kScale));
-    for (SystemConfig &c : cfgs)
-        c.seed = kSeed;
+    const std::vector<SystemConfig> cfgs = matrixConfigs();
     constexpr std::uint64_t kCkptEvery = 30'000;
 
     auto capture = [](std::vector<std::vector<std::uint8_t>> &dst) {
@@ -316,11 +359,7 @@ TEST(FeedCacheTest, KeySensitivity)
 
 TEST(FeedCacheTest, CorruptBlobDemotesToVerifiedRecompute)
 {
-    std::vector<SystemConfig> cfgs;
-    cfgs.push_back(conventionalSystem(8.0, ReplKind::LRU, kScale));
-    cfgs.push_back(reuseSystem(4.0, 1.0, 16, kScale));
-    for (SystemConfig &c : cfgs)
-        c.seed = kSeed;
+    const std::vector<SystemConfig> cfgs = pairConfigs();
     constexpr Cycle kW = 20'000, kM = 60'000;
 
     for (const FaultClass cls : {FaultClass::FeedTruncate,
@@ -400,11 +439,7 @@ TEST(FeedCacheTest, ColdKeyRaceSerializesViaFlock)
 {
     const std::string dir = scratchDir("rc-feed-race");
     removeTree(dir);
-    std::vector<SystemConfig> cfgs;
-    cfgs.push_back(conventionalSystem(8.0, ReplKind::LRU, kScale));
-    cfgs.push_back(reuseSystem(4.0, 1.0, 16, kScale));
-    for (SystemConfig &c : cfgs)
-        c.seed = kSeed;
+    const std::vector<SystemConfig> cfgs = pairConfigs();
     constexpr Cycle kW = 20'000, kM = 60'000;
 
     // mkdir up front so both racers open the same directory.
@@ -456,6 +491,263 @@ TEST(FeedCacheTest, ColdKeyRaceSerializesViaFlock)
     const std::string replayed = runViaProtocol(dir, cfgs, kW, kM, &warm);
     EXPECT_TRUE(warm);
     EXPECT_EQ(replayed, parentFp);
+    removeTree(dir);
+}
+
+// ---------------------------------------------------------------------
+// Streaming capture
+// ---------------------------------------------------------------------
+
+/** The spill hashes as it appends, in pieces of any word-granular
+ *  size; the reader hashes the whole region at once.  Both must agree. */
+TEST(FeedCacheTest, StreamingHashMatchesOneShot)
+{
+    std::vector<std::uint64_t> words(1000);
+    for (std::size_t i = 0; i < words.size(); ++i)
+        words[i] = i * 0x9e3779b97f4a7c15ull + 7;
+    const std::uint64_t whole =
+        feedHash64(words.data(), words.size() * 8);
+    for (const std::size_t piece : {1u, 3u, 4u, 5u, 17u, 64u, 999u}) {
+        FeedHasher h;
+        for (std::size_t i = 0; i < words.size(); i += piece)
+            h.words(&words[i], std::min(piece, words.size() - i) * 8);
+        EXPECT_EQ(h.done(), whole) << "piece " << piece;
+    }
+    EXPECT_NE(feedHash64(words.data(), 8 * 999), whole);
+}
+
+/**
+ * Capture trims like a plain feed: after a full Fig. 4-length window
+ * (the harness defaults, 3M + 12M cycles) the capturing feed's live
+ * ring is no larger than an uncaptured feed's, while the blob it lands
+ * still replays bit-identically.
+ */
+TEST(FeedCacheTest, CaptureRingNoLargerThanPlainOverFig4Window)
+{
+    const std::string dir = scratchDir("rc-feed-bounded");
+    removeTree(dir);
+    constexpr Cycle kW = 3'000'000, kM = 12'000'000;
+    std::vector<SystemConfig> cfgs = {
+        conventionalSystem(8.0, ReplKind::LRU, kScale)};
+    cfgs.front().seed = kSeed;
+
+    FanoutCmp plain(cfgs, mixFactory());
+    runWindow(plain, kW, kM);
+    FeedCache fc(dir);
+    FanoutCmp cap(cfgs, mixFactory(), nullptr, /*capture=*/true, dir);
+    runWindow(cap, kW, kM);
+
+    const FanoutFeed &pf = plain.sharedFeed();
+    const FanoutFeed &cf = cap.sharedFeed();
+    for (CoreId c = 0; c < cfgs.front().numCores; ++c) {
+        EXPECT_EQ(cf.generatedCount(c), pf.generatedCount(c)) << c;
+        EXPECT_LE(cf.ringCapacity(c), pf.ringCapacity(c))
+            << "core " << c << ": capture kept its window alive";
+    }
+    EXPECT_EQ(fingerprint(cap.member(0)), fingerprint(plain.member(0)));
+
+    const FeedKey key =
+        feedKeyOf(cfgs.front(), testMix(), kSeed, kScale, kW, kM);
+    fc.store(key, cap.sharedFeed());
+    const auto blob = fc.lookup(key);
+    ASSERT_NE(blob, nullptr);
+    for (CoreId c = 0; c < cfgs.front().numCores; ++c)
+        EXPECT_EQ(blob->core(c).count, cf.generatedCount(c)) << c;
+    FanoutCmp warm(cfgs, mixFactory(), blob);
+    runWindow(warm, kW, kM);
+    EXPECT_EQ(fingerprint(warm.member(0)), fingerprint(plain.member(0)));
+    removeTree(dir);
+}
+
+/**
+ * A blob of the previous RCFEED1 layout (valid header CRC, version 1)
+ * is rejected by its version field, unlinked, and the key recomputes
+ * and re-stores as RCFEED2.
+ */
+TEST(FeedCacheTest, Rcfeed1BlobRejectedByVersionAndRecomputed)
+{
+    const std::string dir = scratchDir("rc-feed-v1");
+    removeTree(dir);
+    const std::vector<SystemConfig> cfgs = pairConfigs();
+    constexpr Cycle kW = 20'000, kM = 60'000;
+    const FeedKey key =
+        feedKeyOf(cfgs.front(), testMix(), kSeed, kScale, kW, kM);
+    const std::string pristine = runViaProtocol(dir, cfgs, kW, kM);
+
+    std::string path;
+    {
+        FeedCache fc(dir);
+        path = fc.blobPath(key.digest);
+    }
+    {
+        // Re-label the header as RCFEED1 and re-seal its CRC, so only
+        // the version check can tell.
+        std::FILE *f = std::fopen(path.c_str(), "r+b");
+        ASSERT_NE(f, nullptr);
+        std::uint8_t hdr[72];
+        ASSERT_EQ(std::fread(hdr, 1, sizeof(hdr), f), sizeof(hdr));
+        std::memcpy(hdr, "RCFEED1", 8);
+        hdr[8] = 1;
+        hdr[9] = hdr[10] = hdr[11] = 0;
+        const std::uint32_t crc = crc32(hdr, 68);
+        for (int b = 0; b < 4; ++b)
+            hdr[68 + b] = static_cast<std::uint8_t>(crc >> (8 * b));
+        ASSERT_EQ(std::fseek(f, 0, SEEK_SET), 0);
+        ASSERT_EQ(std::fwrite(hdr, 1, sizeof(hdr), f), sizeof(hdr));
+        std::fclose(f);
+    }
+
+    bool threwVersion = false;
+    try {
+        (void)FeedBlob::open(path);
+    } catch (const SimError &e) {
+        threwVersion = std::strstr(e.what(), "format version 1") != nullptr;
+    }
+    EXPECT_TRUE(threwVersion) << "RCFEED1 must fail the version check";
+
+    {
+        FeedCache fc(dir);
+        EXPECT_EQ(fc.lookup(key), nullptr);
+        EXPECT_EQ(fc.stats().corruptDropped, 1u);
+        EXPECT_NE(::access(path.c_str(), F_OK), 0) << "stale blob kept";
+    }
+    bool warm = true;
+    EXPECT_EQ(runViaProtocol(dir, cfgs, kW, kM, &warm), pristine);
+    EXPECT_FALSE(warm);
+    FeedCache after(dir);
+    EXPECT_NE(after.lookup(key), nullptr) << "recompute did not re-store";
+    removeTree(dir);
+}
+
+/** A capture dropped without store() leaves no file behind, whether it
+ *  spilled into an unnamed O_TMPFILE or a named pid-unique tmp. */
+TEST(FeedCacheTest, DroppedCaptureLeavesNoFile)
+{
+    const std::vector<SystemConfig> cfgs = pairConfigs();
+    for (const bool named : {false, true}) {
+        SCOPED_TRACE(named ? "named spill" : "unnamed spill");
+        const std::string dir = scratchDir("rc-feed-dropped");
+        removeTree(dir);
+        { FeedCache fc(dir); }
+        const std::vector<std::string> before = listDir(dir);
+        {
+            FeedSpill::forceNamedForTest(named);
+            FanoutCmp cap(cfgs, mixFactory(), nullptr, true, dir);
+            FeedSpill::forceNamedForTest(false);
+            runWindow(cap, 20'000, 60'000);
+            if (named) {
+                EXPECT_GT(listDir(dir).size(), before.size())
+                    << "named spill should be visible mid-capture";
+            }
+        }
+        EXPECT_EQ(listDir(dir), before);
+        removeTree(dir);
+    }
+}
+
+/** A writer killed mid-capture leaves nothing that recovery adopts or
+ *  a lookup accepts, with either kind of spill. */
+TEST(FeedCacheTest, KilledCaptureLeavesNothingAdoptable)
+{
+    const std::vector<SystemConfig> cfgs = pairConfigs();
+    constexpr Cycle kW = 20'000, kM = 60'000;
+    const FeedKey key =
+        feedKeyOf(cfgs.front(), testMix(), kSeed, kScale, kW, kM);
+    for (const bool named : {false, true}) {
+        SCOPED_TRACE(named ? "named spill" : "unnamed spill");
+        const std::string dir = scratchDir("rc-feed-killed");
+        removeTree(dir);
+        { FeedCache fc(dir); }
+        const pid_t pid = ::fork();
+        ASSERT_NE(pid, -1);
+        if (pid == 0) {
+            FeedSpill::forceNamedForTest(named);
+            FanoutCmp cap(cfgs, mixFactory(), nullptr, true, dir);
+            cap.run(kW);
+            ::raise(SIGKILL);
+            ::_exit(3);
+        }
+        int status = 0;
+        ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+        ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
+
+        FeedCache fc(dir);
+        EXPECT_EQ(fc.size(), 0u);
+        EXPECT_EQ(fc.stats().recovered, 0u);
+        EXPECT_EQ(fc.lookup(key), nullptr);
+        for (const std::string &name : listDir(dir))
+            EXPECT_EQ(name.find(".tmp"), std::string::npos)
+                << name << " survived recovery";
+        removeTree(dir);
+    }
+}
+
+/**
+ * A second process opening the cache directory (running recovery)
+ * mid-capture must not stop the capture from landing its blob: the
+ * named spill carries a live pid and is left alone.  Recovery still
+ * sweeps the tmps of dead writers.
+ */
+TEST(FeedCacheTest, SiblingRecoveryMidCaptureKeepsTheSpill)
+{
+    const std::string dir = scratchDir("rc-feed-sibling");
+    removeTree(dir);
+    const std::vector<SystemConfig> cfgs = pairConfigs();
+    constexpr Cycle kW = 20'000, kM = 60'000;
+    { FeedCache fc(dir); }
+
+    // A tmp left by a writer that is gone: a reaped child's pid.
+    const pid_t dead = ::fork();
+    ASSERT_NE(dead, -1);
+    if (dead == 0)
+        ::_exit(0);
+    ASSERT_EQ(::waitpid(dead, nullptr, 0), dead);
+    const std::string deadTmp =
+        dir + "/capture." + std::to_string(dead) + ".0.tmp";
+    std::FILE *leftover = std::fopen(deadTmp.c_str(), "wb");
+    ASSERT_NE(leftover, nullptr);
+    std::fclose(leftover);
+    EXPECT_FALSE(tmpWriterAlive("capture." + std::to_string(dead) +
+                                ".0.tmp"));
+
+    const NamedSpill named;
+    FanoutCmp cap(cfgs, mixFactory(), nullptr, /*capture=*/true, dir);
+    cap.run(kW);
+    const pid_t pid = ::fork();
+    ASSERT_NE(pid, -1);
+    if (pid == 0) {
+        try {
+            FeedCache sibling(dir);
+        } catch (...) {
+            ::_exit(2);
+        }
+        ::_exit(0);
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+    EXPECT_NE(::access(deadTmp.c_str(), F_OK), 0) << "dead tmp kept";
+    const std::string ours = "capture." + std::to_string(::getpid()) + ".";
+    const std::vector<std::string> left = listDir(dir);
+    EXPECT_TRUE(std::any_of(left.begin(), left.end(),
+                            [&](const std::string &n) {
+                                return n.rfind(ours, 0) == 0;
+                            }))
+        << "the sibling swept this process's live spill";
+
+    cap.beginMeasurement();
+    cap.run(kM);
+    FeedCache fc(dir);
+    const FeedKey key =
+        feedKeyOf(cfgs.front(), testMix(), kSeed, kScale, kW, kM);
+    fc.store(key, cap.sharedFeed());
+    EXPECT_EQ(fc.stats().stores, 1u) << "sibling recovery broke the spill";
+    const auto blob = fc.lookup(key);
+    ASSERT_NE(blob, nullptr);
+    FanoutCmp warm(cfgs, mixFactory(), blob);
+    runWindow(warm, kW, kM);
+    EXPECT_EQ(fleetFingerprint(warm, cfgs.size()),
+              fleetFingerprint(cap, cfgs.size()));
     removeTree(dir);
 }
 

@@ -242,5 +242,34 @@ TEST(HarnessFanout, RepeatedBaselineSweepIsMemoized)
     bench::clearBaselineMemoForTest();
 }
 
+/**
+ * The memo must key every config field.  RC-4/1 and RC-4/1 + reuse
+ * predictor (and RC-4/1 with another per-LLC seed) once shared a memo
+ * key, so whichever ran second was served the first one's results.
+ */
+TEST(HarnessFanout, MemoKeepsPredictorVariantDistinct)
+{
+    const auto opt = smokeOptions(1);
+    const auto mixes = makeMixes(opt.mixCount, 8, 7);
+    const SystemConfig plain = reuseSystem(4.0, 1.0, 0, opt.scale);
+    SystemConfig pred = plain;
+    pred.reuse.usePredictor = true;
+    SystemConfig reseeded = plain;
+    reseeded.reuse.seed += 1;
+    bench::clearBaselineMemoForTest();
+
+    (void)bench::runConfigsOverMixes({plain}, mixes, opt);
+    for (const SystemConfig &variant : {pred, reseeded}) {
+        const std::string before = bench::perfRecordJson();
+        const auto got = bench::runConfigsOverMixes({variant}, mixes, opt);
+        EXPECT_NE(bench::perfRecordJson(), before)
+            << "the variant was served from RC-4/1's memo entry";
+        for (std::size_t m = 0; m < mixes.size(); ++m)
+            expectIdentical(bench::runMix(variant, mixes[m], opt),
+                            got.front()[m], "memo variant");
+    }
+    bench::clearBaselineMemoForTest();
+}
+
 } // namespace
 } // namespace rc

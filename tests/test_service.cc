@@ -432,6 +432,73 @@ TEST(ResultCacheTest, RecoveryAdoptsBlobsDropsTmpAndSurvivesTornEntries)
     removeTree(dir);
 }
 
+/**
+ * A sibling process opening the same directory (running recovery) while
+ * this one stores must never cost a store: staging tmps carry the
+ * writer's pid and recovery sweeps only those of dead writers.
+ */
+TEST(ResultCacheTest, SiblingRecoveryNeverDropsAnInFlightStore)
+{
+    const std::string dir = scratchDir("svc-cache-sibling");
+    removeTree(dir);
+    { svc::ResultCache cache(dir); }
+
+    // Deterministic half: a live writer's tmp survives a sibling's
+    // recovery, a dead writer's does not.
+    const pid_t dead = ::fork();
+    ASSERT_NE(dead, -1);
+    if (dead == 0)
+        ::_exit(0);
+    ASSERT_EQ(::waitpid(dead, nullptr, 0), dead);
+    const std::string liveTmp =
+        dir + "/memo-live.bin." + std::to_string(::getpid()) + ".3.tmp";
+    const std::string deadTmp =
+        dir + "/memo-dead.bin." + std::to_string(dead) + ".3.tmp";
+    for (const std::string &t : {liveTmp, deadTmp}) {
+        std::FILE *f = std::fopen(t.c_str(), "wb");
+        ASSERT_NE(f, nullptr);
+        std::fclose(f);
+    }
+
+    // Racing half: the child re-opens the directory over and over while
+    // the parent stores.
+    constexpr int kStores = 150;
+    const pid_t pid = ::fork();
+    ASSERT_NE(pid, -1);
+    if (pid == 0) {
+        try {
+            for (int i = 0; i < kStores * 2; ++i)
+                svc::ResultCache sibling(dir);
+        } catch (...) {
+            ::_exit(2);
+        }
+        ::_exit(0);
+    }
+    {
+        svc::ResultCache cache(dir);
+        for (int i = 0; i < kStores; ++i)
+            cache.store(tinyRequest(1000 + i), syntheticResult(0.01 * i));
+        EXPECT_EQ(cache.stats().stores, static_cast<std::uint64_t>(kStores));
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+
+    struct stat st;
+    EXPECT_EQ(::stat(liveTmp.c_str(), &st), 0) << "live writer's tmp swept";
+    EXPECT_NE(::stat(deadTmp.c_str(), &st), 0) << "dead writer's tmp kept";
+    ::unlink(liveTmp.c_str());
+
+    svc::ResultCache cache(dir);
+    EXPECT_EQ(cache.size(), static_cast<std::size_t>(kStores));
+    for (int i = 0; i < kStores; ++i) {
+        RunResult out;
+        ASSERT_TRUE(cache.lookup(tinyRequest(1000 + i), out)) << i;
+        EXPECT_TRUE(runResultsEqual(out, syntheticResult(0.01 * i))) << i;
+    }
+    removeTree(dir);
+}
+
 // ---------------------------------------------------------------------
 // flock guard under concurrent multi-process appenders (ctest -L
 // integrity runs this under TSan too)
