@@ -40,6 +40,9 @@
  * Extra flags (on top of the common harness set):
  *   --baseline=FILE   prior BENCH_kernel.json to gate against
  *   --tolerance=F     allowed fractional drift vs baseline (default 0.20)
+ *   --repeat=K        run every pass K times (default 1); each metric
+ *                     reported (and gated) is the median of its K
+ *                     values, and their min/max are printed beside it
  * With --baseline, exits 2 when serial, fan-out or warm feed-cache
  * sims/sec lands below its baseline * (1 - tolerance), when the warm
  * ratio lands below its baseline * (1 - tolerance), or when the capture
@@ -48,9 +51,11 @@
  * job.  Fields missing from the baseline file are not gated.
  */
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -175,42 +180,41 @@ fanoutSweep(std::uint32_t scale, std::uint64_t seed)
     return cfgs;
 }
 
-} // namespace
-
-int
-main(int argc, char **argv)
+/** Wall seconds of every pass of one repeat, plus what they produced. */
+struct PassTimes
 {
-    using namespace rc;
-
-    // Strip the bench-local flags before the common parser sees them.
-    std::string baselinePath;
-    double tolerance = 0.20;
-    std::vector<char *> rest;
-    for (int i = 0; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--baseline=", 11) == 0)
-            baselinePath = argv[i] + 11;
-        else if (std::strncmp(argv[i], "--tolerance=", 12) == 0)
-            tolerance = std::strtod(argv[i] + 12, nullptr);
-        else
-            rest.push_back(argv[i]);
-    }
-
-    const auto opt = bench::initBench(
-        static_cast<int>(rest.size()), rest.data(),
-        "Kernel throughput: serial sims/sec on the table5 workload",
-        "hot-path changes keep stats bit-identical (stats_digest) while "
-        "serial sims/sec tracks the BENCH_kernel.json trajectory");
-
-    EventTracer tracer;
-    double buildSec = 0.0, warmupSec = 0.0, measureSec = 0.0;
+    double build = 0.0, warmup = 0.0, measure = 0.0;
+    double indep = 0.0, fan = 0.0, feedCold = 0.0, feedWarm = 0.0;
     std::uint64_t accesses = 0;
     std::uint64_t digest = 0xcbf29ce484222325ull;
-    const std::size_t runs = std::size(kApps);
+    std::size_t fanRuns = 0; //!< configs in the fan-out sweep
+};
 
-    for (std::size_t i = 0; i < runs; ++i) {
+/** The reported metrics of one repeat, derived from its PassTimes. */
+struct Metrics
+{
+    double simsPerSec = 0.0, accPerSec = 0.0;
+    double indepSimsPerSec = 0.0, fanSimsPerSec = 0.0, fanSpeedup = 0.0;
+    double feedColdSimsPerSec = 0.0, feedWarmSimsPerSec = 0.0;
+    double feedCaptureRatio = 0.0, feedWarmRatio = 0.0;
+};
+
+/** @p n / @p sec, 0 for an empty interval. */
+double
+rate(double n, double sec)
+{
+    return sec > 0.0 ? n / sec : 0.0;
+}
+
+/** Run the serial, fan-out and feed-cache passes once. */
+PassTimes
+runPasses(const bench::RunOptions &opt, EventTracer &tracer)
+{
+    PassTimes t;
+    for (const char *app : kApps) {
         Mix mix;
         for (int c = 0; c < 8; ++c)
-            mix.apps.push_back(kApps[i]);
+            mix.apps.push_back(app);
         SystemConfig cfg = baselineSystem(opt.scale);
         cfg.seed = opt.seed;
 
@@ -226,21 +230,15 @@ main(int argc, char **argv)
         const std::uint64_t t3 = tracer.hostNowMicros();
         tracer.recordHost("kernel.measure", 0, t3 - t2);
 
-        buildSec += static_cast<double>(t1 - t0) * 1e-6;
-        warmupSec += static_cast<double>(t2 - t1) * 1e-6;
-        measureSec += static_cast<double>(t3 - t2) * 1e-6;
-        accesses += sim.referencesProcessed();
+        t.build += static_cast<double>(t1 - t0) * 1e-6;
+        t.warmup += static_cast<double>(t2 - t1) * 1e-6;
+        t.measure += static_cast<double>(t3 - t2) * 1e-6;
+        t.accesses += sim.referencesProcessed();
 
         std::ostringstream os;
         sim.llc().stats().dumpJson(os);
-        digest = fnv1a(os.str(), digest);
+        t.digest = fnv1a(os.str(), t.digest);
     }
-
-    const double simSec = warmupSec + measureSec;
-    const double simsPerSec =
-        simSec > 0.0 ? static_cast<double>(runs) / simSec : 0.0;
-    const double accPerSec =
-        simSec > 0.0 ? static_cast<double>(accesses) / simSec : 0.0;
 
     // --- Fan-out measurement: the six-config reuse sweep, first as six
     // independent Cmp runs, then as one FanoutCmp.  The fan-out pass
@@ -252,9 +250,9 @@ main(int argc, char **argv)
         fanMix.apps.push_back(kApps[c]);
     const auto sweep = fanoutSweep(opt.scale, opt.seed);
     const std::size_t fanRuns = sweep.size();
+    t.fanRuns = fanRuns;
 
     std::vector<std::uint64_t> indepDigests;
-    double indepSec = 0.0;
     for (const SystemConfig &cfg : sweep) {
         Cmp sim(cfg, buildMixStreams(fanMix, opt.seed, opt.scale));
         const std::uint64_t t0 = tracer.hostNowMicros();
@@ -263,7 +261,7 @@ main(int argc, char **argv)
         sim.run(opt.measure);
         const std::uint64_t t1 = tracer.hostNowMicros();
         tracer.recordHost("kernel.fanout.independent", 0, t1 - t0);
-        indepSec += static_cast<double>(t1 - t0) * 1e-6;
+        t.indep += static_cast<double>(t1 - t0) * 1e-6;
         std::ostringstream os;
         sim.llc().stats().dumpJson(os);
         indepDigests.push_back(fnv1a(os.str()));
@@ -278,7 +276,7 @@ main(int argc, char **argv)
     fan.run(opt.measure);
     const std::uint64_t f1 = tracer.hostNowMicros();
     tracer.recordHost("kernel.fanout.lockstep", 0, f1 - f0);
-    const double fanSec = static_cast<double>(f1 - f0) * 1e-6;
+    t.fan = static_cast<double>(f1 - f0) * 1e-6;
 
     for (std::size_t j = 0; j < fanRuns; ++j) {
         std::ostringstream os;
@@ -288,13 +286,6 @@ main(int argc, char **argv)
                       "run; the speedup would be meaningless",
                       j);
     }
-
-    const double indepSimsPerSec =
-        indepSec > 0.0 ? static_cast<double>(fanRuns) / indepSec : 0.0;
-    const double fanSimsPerSec =
-        fanSec > 0.0 ? static_cast<double>(fanRuns) / fanSec : 0.0;
-    const double fanSpeedup =
-        fanSec > 0.0 ? indepSec / fanSec : 0.0;
 
     // --- Feed-cache measurement: the identical sweep once more through
     // the persistent feed cache.  Cold pays the miss path in full
@@ -316,7 +307,6 @@ main(int argc, char **argv)
     };
     const FeedKey feedKey = feedKeyOf(sweep.front(), fanMix, opt.seed,
                                       opt.scale, opt.warmup, opt.measure);
-    double feedColdSec = 0.0, feedWarmSec = 0.0;
     {
         const std::uint64_t c0 = tracer.hostNowMicros();
         auto fc = FeedCache::open(feedDir);
@@ -335,7 +325,7 @@ main(int argc, char **argv)
         fc->store(feedKey, cold.sharedFeed());
         const std::uint64_t c1 = tracer.hostNowMicros();
         tracer.recordHost("kernel.feedcache.cold", 0, c1 - c0);
-        feedColdSec = static_cast<double>(c1 - c0) * 1e-6;
+        t.feedCold = static_cast<double>(c1 - c0) * 1e-6;
         sweepDigests(cold, "cold");
     }
     {
@@ -356,21 +346,127 @@ main(int argc, char **argv)
         warm.run(opt.measure);
         const std::uint64_t w1 = tracer.hostNowMicros();
         tracer.recordHost("kernel.feedcache.warm", 0, w1 - w0);
-        feedWarmSec = static_cast<double>(w1 - w0) * 1e-6;
+        t.feedWarm = static_cast<double>(w1 - w0) * 1e-6;
         sweepDigests(warm, "warm");
     }
     removeFeedDir(feedDir);
+    return t;
+}
 
-    const double feedColdSimsPerSec =
-        feedColdSec > 0.0 ? static_cast<double>(fanRuns) / feedColdSec
-                          : 0.0;
-    const double feedWarmSimsPerSec =
-        feedWarmSec > 0.0 ? static_cast<double>(fanRuns) / feedWarmSec
-                          : 0.0;
-    const double feedCaptureRatio =
-        fanSec > 0.0 ? feedColdSec / fanSec : 0.0;
+Metrics
+metricsOf(const PassTimes &t)
+{
+    const double runs = static_cast<double>(std::size(kApps));
+    const double fanRuns = static_cast<double>(t.fanRuns);
+    const double simSec = t.warmup + t.measure;
+    Metrics m;
+    m.simsPerSec = rate(runs, simSec);
+    m.accPerSec = rate(static_cast<double>(t.accesses), simSec);
+    m.indepSimsPerSec = rate(fanRuns, t.indep);
+    m.fanSimsPerSec = rate(fanRuns, t.fan);
+    m.fanSpeedup = t.fan > 0.0 ? t.indep / t.fan : 0.0;
+    m.feedColdSimsPerSec = rate(fanRuns, t.feedCold);
+    m.feedWarmSimsPerSec = rate(fanRuns, t.feedWarm);
+    // Both feed-cache ratios use the plain fan-out pass of the same
+    // repeat as the denominator.
+    m.feedCaptureRatio = t.fan > 0.0 ? t.feedCold / t.fan : 0.0;
+    m.feedWarmRatio = t.feedWarm > 0.0 ? t.fan / t.feedWarm : 0.0;
+    return m;
+}
+
+/** Median of @p field over @p reps, printing the spread under @p name. */
+template <typename T>
+double
+medianOf(const std::vector<T> &reps, double T::*field, const char *name)
+{
+    std::vector<double> v;
+    for (const T &r : reps)
+        v.push_back(r.*field);
+    std::sort(v.begin(), v.end());
+    const std::size_t n = v.size();
+    const double med = n % 2 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+    if (n > 1)
+        std::printf("spread: %-28s median %.4f  min %.4f  max %.4f\n",
+                    name, med, v.front(), v.back());
+    return med;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    using namespace rc;
+
+    // Strip the bench-local flags before the common parser sees them.
+    std::string baselinePath;
+    double tolerance = 0.20;
+    int repeat = 1;
+    std::vector<char *> rest;
+    for (int i = 0; i < argc; ++i) {
+        if (std::strncmp(argv[i], "--baseline=", 11) == 0)
+            baselinePath = argv[i] + 11;
+        else if (std::strncmp(argv[i], "--tolerance=", 12) == 0)
+            tolerance = std::strtod(argv[i] + 12, nullptr);
+        else if (std::strncmp(argv[i], "--repeat=", 9) == 0)
+            repeat = std::atoi(argv[i] + 9);
+        else
+            rest.push_back(argv[i]);
+    }
+    if (repeat < 1)
+        rc::fatal("--repeat needs a positive count");
+
+    const auto opt = bench::initBench(
+        static_cast<int>(rest.size()), rest.data(),
+        "Kernel throughput: serial sims/sec on the table5 workload",
+        "hot-path changes keep stats bit-identical (stats_digest) while "
+        "serial sims/sec tracks the BENCH_kernel.json trajectory");
+
+    EventTracer tracer;
+    std::vector<PassTimes> times;
+    std::vector<Metrics> reps;
+    for (int r = 0; r < repeat; ++r) {
+        times.push_back(runPasses(opt, tracer));
+        reps.push_back(metricsOf(times.back()));
+        if (times.back().digest != times.front().digest)
+            rc::panic("repeat %d produced different LLC stats than "
+                      "repeat 0", r);
+    }
+
+    const std::size_t runs = std::size(kApps);
+    const std::size_t fanRuns = times.front().fanRuns;
+    const std::uint64_t accesses = times.front().accesses;
+    const std::uint64_t digest = times.front().digest;
+    const double simsPerSec =
+        medianOf(reps, &Metrics::simsPerSec, "serial_sims_per_sec");
+    const double accPerSec =
+        medianOf(reps, &Metrics::accPerSec, "accesses_per_sec");
+    const double indepSimsPerSec = medianOf(
+        reps, &Metrics::indepSimsPerSec, "independent_sims_per_sec");
+    const double fanSimsPerSec =
+        medianOf(reps, &Metrics::fanSimsPerSec, "fanout_sims_per_sec");
+    const double fanSpeedup =
+        medianOf(reps, &Metrics::fanSpeedup, "fanout_speedup");
+    const double feedColdSimsPerSec = medianOf(
+        reps, &Metrics::feedColdSimsPerSec, "feedcache_cold_sims_per_sec");
+    const double feedWarmSimsPerSec = medianOf(
+        reps, &Metrics::feedWarmSimsPerSec, "feedcache_warm_sims_per_sec");
+    const double feedCaptureRatio = medianOf(
+        reps, &Metrics::feedCaptureRatio, "feedcache_capture_ratio");
     const double feedWarmRatio =
-        feedWarmSec > 0.0 ? fanSec / feedWarmSec : 0.0;
+        medianOf(reps, &Metrics::feedWarmRatio, "feedcache_warm_ratio");
+    const double buildSec = medianOf(times, &PassTimes::build, "build_s");
+    const double warmupSec =
+        medianOf(times, &PassTimes::warmup, "warmup_s");
+    const double measureSec =
+        medianOf(times, &PassTimes::measure, "measure_s");
+    const double indepSec =
+        medianOf(times, &PassTimes::indep, "independent_s");
+    const double fanSec = medianOf(times, &PassTimes::fan, "fanout_s");
+    const double feedColdSec =
+        medianOf(times, &PassTimes::feedCold, "feedcache_cold_s");
+    const double feedWarmSec =
+        medianOf(times, &PassTimes::feedWarm, "feedcache_warm_s");
 
     char buf[2048];
     std::snprintf(
@@ -378,6 +474,7 @@ main(int argc, char **argv)
         "{\n"
         "  \"bench\": \"micro_kernel\",\n"
         "  \"runs\": %zu,\n"
+        "  \"repeat\": %d,\n"
         "  \"warmup_cycles\": %" PRIu64 ",\n"
         "  \"measure_cycles\": %" PRIu64 ",\n"
         "  \"scale\": %u,\n"
@@ -403,12 +500,12 @@ main(int argc, char **argv)
         "    \"feedcache_warm_seconds\": %.3f\n"
         "  }\n"
         "}\n",
-        runs, static_cast<std::uint64_t>(opt.warmup),
+        runs, repeat, static_cast<std::uint64_t>(opt.warmup),
         static_cast<std::uint64_t>(opt.measure), opt.scale, accesses,
         simsPerSec, accPerSec, digest, fanRuns, indepSimsPerSec,
         fanSimsPerSec, fanSpeedup, feedColdSimsPerSec,
-        feedWarmSimsPerSec, feedCaptureRatio, feedWarmRatio, buildSec, warmupSec, measureSec,
-        indepSec, fanSec, feedColdSec, feedWarmSec);
+        feedWarmSimsPerSec, feedCaptureRatio, feedWarmRatio, buildSec,
+        warmupSec, measureSec, indepSec, fanSec, feedColdSec, feedWarmSec);
 
     std::FILE *f = std::fopen("BENCH_kernel.json", "w");
     if (!f)

@@ -10,6 +10,7 @@
 #ifndef RC_COMMON_RNG_HH
 #define RC_COMMON_RNG_HH
 
+#include <cmath>
 #include <cstdint>
 
 #include "common/log.hh"
@@ -79,11 +80,31 @@ class Rng
         return lo + below(hi - lo + 1);
     }
 
+    /** Uniform 53-bit integer: the draw uniform() scales into [0, 1). */
+    std::uint64_t next53() { return next() >> 11; }
+
     /** Uniform double in [0, 1). */
     double
     uniform()
     {
-        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+        return static_cast<double>(next53()) * 0x1.0p-53;
+    }
+
+    /**
+     * Integer form of chance(@p p): `next53() < chanceBelow(p)` picks
+     * exactly what chance(p) picks from the same draw.  uniform() is
+     * k * 2^-53 exactly, and k < p * 2^53 iff k < ceil(p * 2^53) for an
+     * integer k; p >= 1 always passes, p <= 0 (or NaN) never does.
+     */
+    static std::uint64_t
+    chanceBelow(double p)
+    {
+        constexpr std::uint64_t one = std::uint64_t{1} << 53;
+        if (!(p > 0.0))
+            return 0;
+        if (p >= 1.0)
+            return one;
+        return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
     }
 
     /** Bernoulli draw with probability @p p of returning true. */

@@ -21,6 +21,12 @@ using Cycle = std::uint64_t;
 /** Per-core identifier (0..numCores-1). */
 using CoreId = std::uint32_t;
 
+/**
+ * Most cores a system may have: directory presence masks and the
+ * recall/downgrade core masks are 32-bit, one bit per core.
+ */
+constexpr std::uint32_t maxCores = 32;
+
 /** Sentinel for "no address". */
 constexpr Addr invalidAddr = std::numeric_limits<Addr>::max();
 

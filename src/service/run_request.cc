@@ -221,6 +221,10 @@ decodeRequest(Deserializer &d)
     RunRequest req;
     d.beginSection("runreq");
     req.config = getConfig(d);
+    if (req.config.numCores > maxCores)
+        throwSimError(SimError::Kind::Protocol,
+                      "request asks for %u cores (at most %u)",
+                      req.config.numCores, maxCores);
     d.beginSection("mix");
     const std::uint64_t apps = d.getU64();
     if (apps > 1024)

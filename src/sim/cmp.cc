@@ -27,11 +27,22 @@ makeLlc(const SystemConfig &cfg, MemCtrl &mem)
     panic("unknown LLC kind");
 }
 
+/** @p cfg, once its core count is known to fit the 32-bit core masks. */
+const SystemConfig &
+checkCoreCount(const SystemConfig &cfg)
+{
+    if (cfg.numCores > maxCores)
+        throwSimError(SimError::Kind::Config,
+                      "%u cores requested; at most %u are supported (core "
+                      "masks are 32-bit)", cfg.numCores, maxCores);
+    return cfg;
+}
+
 } // namespace
 
 Cmp::Cmp(const SystemConfig &cfg_,
          std::vector<std::unique_ptr<RefStream>> streams)
-    : cfg(cfg_),
+    : cfg(checkCoreCount(cfg_)),
       ownedStreams(std::move(streams)),
       mem(cfg_.memory),
       xbar(cfg_.xbar),
@@ -258,11 +269,11 @@ Cmp::refreshExpressEvent(std::uint32_t c, Cycle end)
     if (e.hasEvent) {
         ex.eventIdx = e.idx;
         ex.eventPreReady = e.preReady;
-        readyCache[c] = e.preReady;
+        sched.set(c, e.preReady);
     } else {
         // Nothing SLLC-visible before the quantum boundary; park the
         // core there (the commit pass will advance its cursor).
-        readyCache[c] = end;
+        sched.set(c, end);
     }
 }
 
@@ -324,7 +335,7 @@ Cmp::expressEvent(std::uint32_t c, Cycle end)
         refreshExpressEvent(c, end);
     } else {
         ex.exactCursor = k + 1;
-        readyCache[c] = returned;
+        sched.set(c, returned);
     }
 }
 
@@ -368,7 +379,7 @@ Cmp::materializeExpress(CoreId c, bool self_step)
     feed->materializeHier(c, j, core.priv());
     ex.exactCursor = j;
     core.setReadyAt(ex.baseReady);
-    readyCache[c] = ex.baseReady;
+    sched.set(c, ex.baseReady);
     ex.active = false;
     expressDemoted = true;
 }
@@ -464,21 +475,19 @@ Cmp::runSlice(Cycle end, bool commit)
         return;
     }
 
-    // Flat mirror of each core's ready time: the per-reference min-scan
-    // walks one contiguous array instead of chasing a unique_ptr per
-    // core.  Rebuilt on entry (restore() may have moved the cores) and
-    // maintained after every step; stepCore only ever changes the
-    // stepped core's ready time.
+    // Every core's (ready, index) key lives in one tournament tree
+    // (sim/ready_tree.hh), rebuilt on entry (restore() may have moved
+    // the cores) and updated on every write; stepCore only ever changes
+    // the stepped core's ready time.
     const std::uint32_t n = static_cast<std::uint32_t>(cores.size());
-    readyCache.resize(n);
+    sched.reset(n, end);
 
     // Hook-free fast path: identical scheduling (first core carrying
     // the strictly smallest ready time wins), none of the per-reference
     // hook/abort/progress checks.  The winning core is stepped in a
-    // burst for as long as the scan would keep picking it — its ready
-    // time stays strictly below every other core's, or ties one with a
-    // higher index — so the per-reference min-scan amortizes over the
-    // burst and the core's stream/private state stays hot.
+    // burst for as long as it would keep winning — its key stays below
+    // the runner-up's — so the tree walk amortizes over the burst and
+    // the core's stream/private state stays hot.
     if (sampleEvery == 0 && checkEvery == 0 && snapEvery == 0 &&
         !abortPtr && !progressPtr) {
         // Arm express replay: a never-diverged fan-out core is
@@ -495,52 +504,28 @@ Cmp::runSlice(Cycle end, bool commit)
             } else {
                 if (feed)
                     express[i].active = false;
-                readyCache[i] = cores[i]->readyAt();
+                sched.set(i, cores[i]->readyAt());
             }
         }
-        const Cycle *rc_begin = readyCache.data();
-        for (;;) {
-            // One pass finds the winner AND the runner-up (first index
-            // carrying the smallest ready time among the other cores):
-            // the winner keeps winning the scan while its ready time
-            // stays below the runner-up's, or ties it from a lower
-            // index, so it can burst without rescanning.
-            std::uint32_t idx = 0;
-            Cycle best = rc_begin[0];
-            Cycle second = ~Cycle{0};
-            std::uint32_t second_idx = 0;
-            for (std::uint32_t i = 1; i < n; ++i) {
-                const Cycle v = rc_begin[i];
-                if (v < best) {
-                    second = best;
-                    second_idx = idx;
-                    best = v;
-                    idx = i;
-                } else if (v < second) {
-                    second = v;
-                    second_idx = i;
-                }
-            }
-            if (best >= end)
-                break;
+        while (!sched.done()) {
+            const std::uint32_t idx = sched.winner();
             if (express_on && express[idx].active) {
                 expressEvent(idx, end);
                 continue;
             }
+            const ReadyTree::Key bound = sched.burstBound(idx);
             Core &burst = *cores[idx];
             expressDemoted = false;
             Cycle r;
             // A recall out of this burst may deactivate an express core
-            // whose next step then lands before the cached runner-up
-            // time; expressDemoted forces a rescan when that happens.
+            // whose next step then lands before the cached bound;
+            // expressDemoted ends the burst when that happens.
             do {
                 stepCore(burst);
                 ++refsProcessed;
                 r = burst.readyAt();
-            } while (r < end &&
-                     (r < second || (r == second && idx < second_idx)) &&
-                     !expressDemoted);
-            readyCache[idx] = r;
+            } while (sched.keyOf(idx, r) < bound && !expressDemoted);
+            sched.set(idx, r);
         }
         if (feed && commit) {
             for (std::uint32_t i = 0; i < n; ++i)
@@ -563,19 +548,10 @@ Cmp::runSlice(Cycle end, bool commit)
         }
     }
     for (std::uint32_t i = 0; i < n; ++i)
-        readyCache[i] = cores[i]->readyAt();
+        sched.set(i, cores[i]->readyAt());
 
-    for (;;) {
-        std::uint32_t idx = 0;
-        Cycle best = readyCache[0];
-        for (std::uint32_t i = 1; i < n; ++i) {
-            if (readyCache[i] < best) {
-                best = readyCache[i];
-                idx = i;
-            }
-        }
-        if (best >= end)
-            break;
+    while (!sched.done()) {
+        const std::uint32_t idx = sched.winner();
         if (abortPtr && abortPtr->load(std::memory_order_relaxed)) {
             if (onAbort)
                 onAbort(*this);
@@ -589,6 +565,7 @@ Cmp::runSlice(Cycle end, bool commit)
         // state of their epoch even when a long stall skips several
         // boundaries at once.
         if (sampleEvery != 0) {
+            const Cycle best = sched.minReady();
             while (sampleNext <= best) {
                 sampleHook(*this, sampleNext);
                 sampleNext += sampleEvery;
@@ -597,7 +574,7 @@ Cmp::runSlice(Cycle end, bool commit)
         Core &next = *cores[idx];
         stepCore(next);
         ++refsProcessed;
-        readyCache[idx] = next.readyAt();
+        sched.set(idx, next.readyAt());
         if (progressPtr)
             progressPtr->store(refsProcessed, std::memory_order_relaxed);
         if (checkEvery != 0 && refsProcessed % checkEvery == 0)

@@ -24,6 +24,7 @@
 #include "mem/memctrl.hh"
 #include "sim/core.hh"
 #include "sim/crossbar.hh"
+#include "sim/ready_tree.hh"
 #include "sim/system_config.hh"
 #include "sim/trace.hh"
 
@@ -255,7 +256,7 @@ class Cmp : public RecallHandler
     Crossbar xbar;
     std::unique_ptr<Sllc> llcPtr;
     std::vector<std::unique_ptr<Core>> cores;
-    std::vector<Cycle> readyCache; //!< per-core ready mirror; run() only
+    ReadyTree sched; //!< per-core (ready, core) keys; runSlice() only
     std::vector<std::unique_ptr<StridePrefetcher>> prefetchers;
     std::vector<Addr> prefetchScratch;
     Counter prefetchIssued = 0;

@@ -1,5 +1,7 @@
 #include "snapshot/serializer.hh"
 
+#include <array>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 
@@ -21,25 +23,96 @@ constexpr std::uint32_t snapVersion = 2;
 constexpr std::size_t headerBytes = sizeof(snapMagic) + 4;
 constexpr std::size_t trailerBytes = 4;
 
+/** @p v in little-endian byte order (a no-op on little-endian hosts). */
+template <typename T>
+T
+toLittle(T v)
+{
+    if constexpr (std::endian::native == std::endian::big) {
+        T out = 0;
+        for (std::size_t i = 0; i < sizeof(T); ++i)
+            out = static_cast<T>(out << 8 | ((v >> (8 * i)) & 0xffu));
+        return out;
+    }
+    return v;
+}
+
+/** Write @p v at @p p as sizeof(T) little-endian bytes. */
+template <typename T>
+void
+storeLe(std::uint8_t *p, T v)
+{
+    v = toLittle(v);
+    std::memcpy(p, &v, sizeof(T));
+}
+
+/** Append @p v to @p buf as sizeof(T) little-endian bytes. */
+template <typename T>
+void
+appendLe(std::vector<std::uint8_t> &buf, T v)
+{
+    const std::size_t at = buf.size();
+    buf.resize(at + sizeof(T));
+    storeLe(buf.data() + at, v);
+}
+
+/** Read sizeof(T) little-endian bytes at @p p. */
+template <typename T>
+T
+loadLe(const std::uint8_t *p)
+{
+    T v;
+    std::memcpy(&v, p, sizeof(T));
+    return toLittle(v);
+}
+
+/** Slice-by-8 CRC tables: crcTables[0] is the bytewise table, and
+ *  crcTables[k][i] advances crcTables[k - 1][i] by one zero byte. */
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+const CrcTables &
+crcTables()
+{
+    static const CrcTables t = [] {
+        CrcTables out{};
+        for (std::uint32_t i = 0; i < 256; ++i) {
+            std::uint32_t c = i;
+            for (int k = 0; k < 8; ++k)
+                c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+            out[0][i] = c;
+        }
+        for (std::size_t k = 1; k < out.size(); ++k) {
+            for (std::uint32_t i = 0; i < 256; ++i) {
+                const std::uint32_t prev = out[k - 1][i];
+                out[k][i] = out[0][prev & 0xffu] ^ (prev >> 8);
+            }
+        }
+        return out;
+    }();
+    return t;
+}
+
 } // namespace
 
 std::uint32_t
 crc32(const void *data, std::size_t len, std::uint32_t crc)
 {
-    static const auto table = [] {
-        std::vector<std::uint32_t> t(256);
-        for (std::uint32_t i = 0; i < 256; ++i) {
-            std::uint32_t c = i;
-            for (int k = 0; k < 8; ++k)
-                c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
-        }
-        return t;
-    }();
+    const CrcTables &t = crcTables();
     const auto *p = static_cast<const std::uint8_t *>(data);
     crc = ~crc;
-    for (std::size_t i = 0; i < len; ++i)
-        crc = table[(crc ^ p[i]) & 0xffu] ^ (crc >> 8);
+    // Eight bytes per step: the CRC register folds into the first four,
+    // and each byte's contribution is looked up already advanced past
+    // the bytes that follow it.
+    for (; len >= 8; len -= 8, p += 8) {
+        const std::uint32_t lo = loadLe<std::uint32_t>(p) ^ crc;
+        const std::uint32_t hi = loadLe<std::uint32_t>(p + 4);
+        crc = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+              t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^
+              t[3][hi & 0xffu] ^ t[2][(hi >> 8) & 0xffu] ^
+              t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+    }
+    for (; len > 0; --len, ++p)
+        crc = t[0][(crc ^ *p) & 0xffu] ^ (crc >> 8);
     return ~crc;
 }
 
@@ -52,8 +125,7 @@ Serializer::beginSection(const char *name)
 {
     const std::size_t len = std::strlen(name);
     RC_ASSERT(len > 0 && len < 0x10000, "section name length out of range");
-    putU8(static_cast<std::uint8_t>(len));
-    putU8(static_cast<std::uint8_t>(len >> 8));
+    putU16(static_cast<std::uint16_t>(len));
     putBytes(name, len);
     open.push_back(buf.size());
     putU64(0); // length, patched by endSection
@@ -65,9 +137,7 @@ Serializer::endSection(const char *)
     RC_ASSERT(!open.empty(), "endSection without matching beginSection");
     const std::size_t at = open.back();
     open.pop_back();
-    const std::uint64_t len = buf.size() - (at + 8);
-    for (int i = 0; i < 8; ++i)
-        buf[at + i] = static_cast<std::uint8_t>(len >> (8 * i));
+    storeLe<std::uint64_t>(buf.data() + at, buf.size() - (at + 8));
 }
 
 void
@@ -77,17 +147,21 @@ Serializer::putU8(std::uint8_t v)
 }
 
 void
+Serializer::putU16(std::uint16_t v)
+{
+    appendLe(buf, v);
+}
+
+void
 Serializer::putU32(std::uint32_t v)
 {
-    for (int i = 0; i < 4; ++i)
-        buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    appendLe(buf, v);
 }
 
 void
 Serializer::putU64(std::uint64_t v)
 {
-    for (int i = 0; i < 8; ++i)
-        buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    appendLe(buf, v);
 }
 
 void
@@ -124,15 +198,12 @@ Serializer::image() const
 {
     RC_ASSERT(open.empty(), "snapshot image with %zu unclosed section(s)",
               open.size());
-    std::vector<std::uint8_t> out;
-    out.reserve(headerBytes + buf.size() + trailerBytes);
-    out.insert(out.end(), snapMagic, snapMagic + sizeof(snapMagic));
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<std::uint8_t>(snapVersion >> (8 * i)));
-    out.insert(out.end(), buf.begin(), buf.end());
-    const std::uint32_t crc = payloadCrc();
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
+    std::vector<std::uint8_t> out(headerBytes + buf.size() + trailerBytes);
+    std::memcpy(out.data(), snapMagic, sizeof(snapMagic));
+    storeLe(out.data() + sizeof(snapMagic), snapVersion);
+    if (!buf.empty())
+        std::memcpy(out.data() + headerBytes, buf.data(), buf.size());
+    storeLe(out.data() + headerBytes + buf.size(), payloadCrc());
     return out;
 }
 
@@ -204,17 +275,13 @@ Deserializer::validate()
         throwSimError(SimError::Kind::Snapshot,
                       "'%s' is not a reuse-cache snapshot (bad magic)",
                       origin.c_str());
-    std::uint32_t version = 0;
-    for (int i = 0; i < 4; ++i)
-        version |= std::uint32_t{buf[sizeof(snapMagic) + i]} << (8 * i);
+    const auto version = loadLe<std::uint32_t>(buf.data() + sizeof(snapMagic));
     if (version != snapVersion)
         throwSimError(SimError::Kind::Snapshot,
                       "snapshot '%s' has unsupported schema version %u "
                       "(expected %u)", origin.c_str(), version, snapVersion);
     const std::size_t payloadEnd = buf.size() - trailerBytes;
-    std::uint32_t stored = 0;
-    for (int i = 0; i < 4; ++i)
-        stored |= std::uint32_t{buf[payloadEnd + i]} << (8 * i);
+    const auto stored = loadLe<std::uint32_t>(buf.data() + payloadEnd);
     crc = crc32(buf.data() + headerBytes, payloadEnd - headerBytes);
     if (stored != crc)
         throwSimError(SimError::Kind::Snapshot,
@@ -242,8 +309,8 @@ Deserializer::need(std::size_t len, const char *what)
 void
 Deserializer::beginSection(const char *name)
 {
-    const std::uint8_t *lenBytes = need(2, "section name length");
-    const std::size_t nameLen = lenBytes[0] | (std::size_t{lenBytes[1]} << 8);
+    const std::size_t nameLen =
+        loadLe<std::uint16_t>(need(2, "section name length"));
     const std::uint8_t *nameBytes = need(nameLen, "section name");
     if (nameLen != std::strlen(name) ||
         std::memcmp(nameBytes, name, nameLen) != 0)
@@ -282,21 +349,13 @@ Deserializer::getU8()
 std::uint32_t
 Deserializer::getU32()
 {
-    const std::uint8_t *p = need(4, "u32");
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= std::uint32_t{p[i]} << (8 * i);
-    return v;
+    return loadLe<std::uint32_t>(need(4, "u32"));
 }
 
 std::uint64_t
 Deserializer::getU64()
 {
-    const std::uint8_t *p = need(8, "u64");
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= std::uint64_t{p[i]} << (8 * i);
-    return v;
+    return loadLe<std::uint64_t>(need(8, "u64"));
 }
 
 double
@@ -348,20 +407,50 @@ saveVec(Serializer &s, const std::vector<std::uint8_t> &v)
     s.putBytes(v.data(), v.size());
 }
 
+namespace
+{
+
+/** Count + elements as little-endian scalars: one copy on
+ *  little-endian hosts, element by element otherwise. */
+template <typename T>
+void
+saveScalars(Serializer &s, const std::vector<T> &v)
+{
+    s.putU64(v.size());
+    if constexpr (std::endian::native == std::endian::little) {
+        s.putBytes(v.data(), v.size() * sizeof(T));
+    } else {
+        for (T x : v) {
+            const T le = toLittle(x);
+            s.putBytes(&le, sizeof(T));
+        }
+    }
+}
+
+template <typename T>
+void
+restoreScalars(Deserializer &d, std::vector<T> &v, const char *what)
+{
+    checkCount(d.getU64(), v.size(), what);
+    d.getBytes(v.data(), v.size() * sizeof(T));
+    if constexpr (std::endian::native != std::endian::little) {
+        for (T &x : v)
+            x = toLittle(x);
+    }
+}
+
+} // namespace
+
 void
 saveVec(Serializer &s, const std::vector<std::uint32_t> &v)
 {
-    s.putU64(v.size());
-    for (std::uint32_t x : v)
-        s.putU32(x);
+    saveScalars(s, v);
 }
 
 void
 saveVec(Serializer &s, const std::vector<std::uint64_t> &v)
 {
-    s.putU64(v.size());
-    for (std::uint64_t x : v)
-        s.putU64(x);
+    saveScalars(s, v);
 }
 
 void
@@ -374,17 +463,13 @@ restoreVec(Deserializer &d, std::vector<std::uint8_t> &v, const char *what)
 void
 restoreVec(Deserializer &d, std::vector<std::uint32_t> &v, const char *what)
 {
-    checkCount(d.getU64(), v.size(), what);
-    for (std::uint32_t &x : v)
-        x = d.getU32();
+    restoreScalars(d, v, what);
 }
 
 void
 restoreVec(Deserializer &d, std::vector<std::uint64_t> &v, const char *what)
 {
-    checkCount(d.getU64(), v.size(), what);
-    for (std::uint64_t &x : v)
-        x = d.getU64();
+    restoreScalars(d, v, what);
 }
 
 } // namespace rc

@@ -54,6 +54,7 @@ class Serializer
 
     void putBool(bool v) { putU8(v ? 1 : 0); }
     void putU8(std::uint8_t v);
+    void putU16(std::uint16_t v);
     void putU32(std::uint32_t v);
     void putU64(std::uint64_t v);
     void putI64(std::int64_t v) { putU64(static_cast<std::uint64_t>(v)); }

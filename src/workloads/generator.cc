@@ -34,6 +34,14 @@ scaledLines(std::uint64_t region_bytes, std::uint32_t scale)
     return std::max<std::uint64_t>(lines, 1);
 }
 
+/** @p cursor + 1, wrapped to 0 at @p lines (@p cursor < @p lines). */
+std::uint64_t
+wrapNext(std::uint64_t cursor, std::uint64_t lines)
+{
+    ++cursor;
+    return cursor == lines ? 0 : cursor;
+}
+
 /** Lines per 1 GB component slot. */
 constexpr std::uint64_t slotLines = (1ull << 30) / lineBytes;
 
@@ -79,7 +87,7 @@ SyntheticStream::SyntheticStream(const AppProfile &app, CoreId core,
                                  std::uint64_t seed, std::uint32_t scale,
                                  std::uint32_t num_cores)
     : appName(app.name),
-      writeRatio(app.writeRatio),
+      writeBelow(Rng::chanceBelow(app.writeRatio)),
       rng(SplitMix64(seed ^ (0x5851f42d4c957f2dULL * (core + 1))).next())
 {
     RC_ASSERT(scale >= 1, "capacity scale must be at least 1");
@@ -88,7 +96,7 @@ SyntheticStream::SyntheticStream(const AppProfile &app, CoreId core,
 
     const double mean_think = 1.0 / app.memRatio - 1.0;
     thinkLo = static_cast<std::uint32_t>(mean_think);
-    thinkFrac = mean_think - thinkLo;
+    thinkUpBelow = Rng::chanceBelow(mean_think - thinkLo);
 
     double cumulative = 0.0;
     std::uint32_t slot = 1;
@@ -110,8 +118,9 @@ SyntheticStream::SyntheticStream(const AppProfile &app, CoreId core,
         st.pcBase = synthPcBase(app.name, slot);
         if (c.pattern == AccessPattern::Stream) {
             // Parallel sweeps start staggered (domain decomposition).
+            // Cursors stay below lines (genLine wraps by comparison).
             st.cursor = c.shared && num_cores
-                ? (st.lines / num_cores) * core
+                ? (st.lines / num_cores) * core % st.lines
                 : 0;
         }
         if (c.pattern == AccessPattern::Zipf) {
@@ -127,8 +136,13 @@ SyntheticStream::SyntheticStream(const AppProfile &app, CoreId core,
             buildZipfGuide(st);
         }
         comps.push_back(std::move(st));
+        RC_ASSERT(c.weight >= 0.0, "negative component weight in %s",
+                  app.name.c_str());
         cumulative += c.weight;
-        pickCdf.push_back(cumulative);
+        // uniform() < cumulative iff k * 2^-53 < cumulative iff
+        // floor(cumulative * 2^53) < k, both scalings being exact.
+        pickFloor.push_back(
+            static_cast<std::uint64_t>(cumulative * 0x1.0p53));
         ++slot;
     }
     RC_ASSERT(cumulative <= 1.0 + 1e-9,
@@ -259,11 +273,11 @@ SyntheticStream::genLine(CompState &comp)
     switch (comp.pattern) {
       case AccessPattern::Loop:
         line = comp.window + comp.cursor;
-        comp.cursor = (comp.cursor + 1) % comp.lines;
+        comp.cursor = wrapNext(comp.cursor, comp.lines);
         break;
       case AccessPattern::Stream:
         line = comp.cursor;
-        comp.cursor = (comp.cursor + 1) % comp.lines;
+        comp.cursor = wrapNext(comp.cursor, comp.lines);
         break;
       case AccessPattern::Uniform:
         line = rng.below(comp.lines);
@@ -277,7 +291,7 @@ SyntheticStream::genLine(CompState &comp)
       case AccessPattern::Chase:
         if (comp.burstLeft > 0) {
             --comp.burstLeft;
-            comp.cursor = (comp.cursor + 1) % comp.lines;
+            comp.cursor = wrapNext(comp.cursor, comp.lines);
         } else {
             comp.cursor = rng.below(comp.lines);
             comp.burstLeft = static_cast<std::uint32_t>(
@@ -296,17 +310,27 @@ SyntheticStream::makeDataRef()
         advancePhase();
 
     CompState *comp = &hot;
-    if (!pickCdf.empty()) {
-        const double u = rng.uniform();
-        const auto it = std::lower_bound(pickCdf.begin(), pickCdf.end(), u);
-        if (it != pickCdf.end())
-            comp = &comps[static_cast<std::size_t>(it - pickCdf.begin())];
+    if (!comps.empty()) {
+        // The first component whose cumulative weight is not below the
+        // draw (a lower_bound over the cumulative weights), counted
+        // without branches; the weights are non-negative, so the
+        // entries below the draw are exactly a prefix.
+        const std::uint64_t k = rng.next53();
+        std::size_t pick = 0;
+        for (std::uint64_t t : pickFloor)
+            pick += t < k;
+        if (pick < comps.size())
+            comp = &comps[pick];
     }
 
     MemRef ref;
-    ref.addr = genLine(*comp) + rng.below(8) * 8;
-    ref.op = rng.chance(writeRatio) ? MemOp::Write : MemOp::Read;
-    ref.think = thinkLo + (rng.chance(thinkFrac) ? 1 : 0);
+    // Two statements, so the draw order is fixed: genLine's draws (if
+    // any) come before the word offset's.  Within one expression the
+    // order of the two calls would be unspecified.
+    const Addr line = genLine(*comp);
+    ref.addr = line + rng.below(8) * 8;
+    ref.op = rng.next53() < writeBelow ? MemOp::Write : MemOp::Read;
+    ref.think = thinkLo + (rng.next53() < thinkUpBelow ? 1 : 0);
     ref.isInstr = false;
     // Loads and stores of one component come from two distinct
     // instructions of its loop body.
@@ -377,6 +401,18 @@ SyntheticStream::restore(Deserializer &d)
         get_comp(c);
     get_comp(hot);
     get_comp(code);
+    const auto check_cursor = [this](const CompState &c) {
+        if (c.cursor >= c.lines)
+            throwSimError(SimError::Kind::Snapshot,
+                          "stream '%s': checkpointed cursor %llu is past "
+                          "its %llu-line region", appName.c_str(),
+                          static_cast<unsigned long long>(c.cursor),
+                          static_cast<unsigned long long>(c.lines));
+    };
+    for (const CompState &c : comps)
+        check_cursor(c);
+    check_cursor(hot);
+    check_cursor(code);
     instrSinceFetch = d.getU64();
     refsInPhase = d.getU64();
     phaseIndex = d.getU64();

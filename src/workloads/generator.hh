@@ -84,13 +84,18 @@ class SyntheticStream final : public RefStream
     void reseedComponent(CompState &comp, std::uint64_t mix);
 
     std::string appName;
-    double writeRatio;
     std::uint32_t thinkLo;
-    double thinkFrac;
+    //! Stream draws are compared as raw 53-bit integers k (the k of
+    //! uniform() == k * 2^-53) against thresholds that pick exactly what
+    //! the equivalent double comparisons pick.
+    std::uint64_t writeBelow = 0;     //!< store iff k < writeBelow
+    std::uint64_t thinkUpBelow = 0;   //!< think + 1 iff k < thinkUpBelow
 
     Rng rng;
     std::vector<CompState> comps;     //!< profile components
-    std::vector<double> pickCdf;      //!< cumulative component weights
+    //! floor(cumulative weight * 2^53) per component: the component a
+    //! draw k picks is the number of entries below k (hot past the end).
+    std::vector<std::uint64_t> pickFloor;
     CompState hot;                    //!< L1-resident remainder component
     CompState code;                   //!< instruction stream
 

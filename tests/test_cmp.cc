@@ -1,5 +1,9 @@
 /** @file Unit tests for the CMP system model. */
 
+#include <iterator>
+#include <sstream>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "sim/cmp.hh"
@@ -189,6 +193,78 @@ TEST(Cmp, AggregateIpcSumsCores)
     for (CoreId c = 0; c < cmp.numCores(); ++c)
         sum += cmp.ipc(c);
     EXPECT_DOUBLE_EQ(cmp.aggregateIpc(), sum);
+}
+
+/** @p cfg resized to @p n cores (the presets are all 8-core). */
+SystemConfig
+withCores(SystemConfig cfg, std::uint32_t n)
+{
+    cfg.numCores = n;
+    cfg.conv.numCores = n;
+    cfg.reuse.numCores = n;
+    cfg.ncid.numCores = n;
+    return cfg;
+}
+
+Mix
+mixOf(std::uint32_t n)
+{
+    static const char *const apps[] = {"mcf", "namd", "libquantum",
+                                       "hmmer", "lbm"};
+    Mix mix;
+    for (std::uint32_t i = 0; i < n; ++i)
+        mix.apps.push_back(apps[i % std::size(apps)]);
+    return mix;
+}
+
+/** LLC stats JSON plus every core's IPC, for exact comparison. */
+std::string
+outcome(const Cmp &cmp)
+{
+    std::ostringstream os;
+    cmp.llc().stats().dumpJson(os);
+    os.precision(17);
+    for (CoreId c = 0; c < cmp.numCores(); ++c)
+        os << " ipc" << c << "=" << cmp.ipc(c);
+    os << " refs=" << cmp.referencesProcessed();
+    return os.str();
+}
+
+// Core counts that are not a power of two pad the scheduler's tree; the
+// hook-free burst loop and the hooked per-reference loop must still pick
+// the same core at every step.
+TEST(Cmp, OddCoreCountsFastPathMatchesHookedPath)
+{
+    for (std::uint32_t n : {3u, 5u}) {
+        for (const SystemConfig &base :
+             {baselineSystem(8), reuseSystem(4, 1, 0, 8)}) {
+            const SystemConfig cfg = withCores(base, n);
+            const auto run = [&](bool hooked) {
+                Cmp cmp(cfg, buildMixStreams(mixOf(n), 42, 8));
+                // A no-op sample hook forces the per-reference loop.
+                if (hooked)
+                    cmp.setSampleHook(5'000, [](const Cmp &, Cycle) {});
+                cmp.run(100'000);
+                cmp.beginMeasurement();
+                cmp.run(300'000);
+                return outcome(cmp);
+            };
+            EXPECT_EQ(run(false), run(true)) << n << " cores";
+        }
+    }
+}
+
+TEST(Cmp, RejectsMoreCoresThanTheMasksHold)
+{
+    std::vector<MemRef> script{{0x1000, MemOp::Read, 3, false}};
+    const SystemConfig cfg =
+        withCores(tinySystem(LlcKind::Conventional), maxCores + 1);
+    try {
+        Cmp cmp(cfg, scriptedCores(maxCores + 1, script));
+        FAIL() << "a 33-core system was accepted";
+    } catch (const SimError &err) {
+        EXPECT_EQ(err.kind(), SimError::Kind::Config) << err.what();
+    }
 }
 
 } // namespace

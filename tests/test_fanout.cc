@@ -255,6 +255,40 @@ TEST(Fanout, SamePrivatePrefixPredicate)
     EXPECT_FALSE(FanoutCmp::samePrivatePrefix(a, f));
 }
 
+/** A 3-core system pads the scheduler's tree; both members must still
+ *  match their independent runs bit for bit (the conventional member
+ *  recalls, so this covers the express lane's demotions too). */
+TEST(Fanout, ThreeCoreMembersMatchIndependent)
+{
+    std::vector<SystemConfig> cfgs;
+    cfgs.push_back(conventionalSystem(2.0, ReplKind::LRU, kScale));
+    cfgs.push_back(reuseSystem(4.0, 1.0, 16, kScale));
+    for (SystemConfig &c : cfgs) {
+        c.seed = kSeed;
+        c.numCores = 3;
+        c.conv.numCores = 3;
+        c.reuse.numCores = 3;
+    }
+    Mix mix;
+    mix.apps = {"mcf", "libquantum", "namd"};
+    const auto streams = [mix] { return buildMixStreams(mix, kSeed, kScale); };
+
+    FanoutCmp fan(cfgs, streams);
+    fan.run(kWarmup);
+    fan.beginMeasurement();
+    fan.run(kMeasure);
+
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+        Cmp sim(cfgs[i], streams());
+        sim.run(kWarmup);
+        sim.beginMeasurement();
+        sim.run(kMeasure);
+        EXPECT_EQ(fingerprint(sim), fingerprint(fan.member(i)))
+            << "3-core fan-out member " << i
+            << " diverged from its independent run";
+    }
+}
+
 /** Records are trimmed as the lockstep quanta advance: the feed's live
  *  window must stay near the quantum, not grow with the run. */
 TEST(Fanout, FeedWindowStaysBounded)

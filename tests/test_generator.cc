@@ -6,6 +6,8 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "common/log.hh"
+#include "snapshot/serializer.hh"
 #include "workloads/generator.hh"
 
 namespace rc
@@ -32,6 +34,50 @@ simpleApp()
     zipf.zipfS = 0.9;
     app.components = {stream, zipf};
     return app;
+}
+
+/** A checkpoint image of simpleApp()'s stream state with the Stream
+ *  component's cursor set to @p cursor and everything else zeroed. */
+std::vector<std::uint8_t>
+imageWithStreamCursor(std::uint64_t cursor)
+{
+    Serializer s;
+    s.putU64(1); // rng state
+    const auto put_comp = [&s](std::uint64_t c) {
+        s.putU64(c); // cursor
+        s.putU32(0); // burstLeft
+        s.putU64(1); // scatter
+        s.putU64(0); // salt
+        s.putU64(0); // window
+    };
+    s.putU64(2); // components
+    put_comp(cursor);
+    put_comp(0);
+    put_comp(0); // hot
+    put_comp(0); // code
+    s.putU64(0); // instrSinceFetch
+    s.putU64(0); // refsInPhase
+    s.putU64(0); // phaseIndex
+    return s.image();
+}
+
+// Cursors wrap by comparison, so a checkpointed cursor past its region
+// would never wrap: restore() must refuse it.
+TEST(Generator, RestoreRejectsCursorPastRegion)
+{
+    SyntheticStream st(simpleApp(), 0, 42, 8);
+    const std::uint64_t lines = (64ull << 20) / 8 / lineBytes;
+    {
+        Deserializer d(imageWithStreamCursor(lines - 1));
+        st.restore(d);
+    }
+    Deserializer d(imageWithStreamCursor(lines));
+    try {
+        st.restore(d);
+        FAIL() << "a cursor past the region was restored";
+    } catch (const SimError &err) {
+        EXPECT_EQ(err.kind(), SimError::Kind::Snapshot) << err.what();
+    }
 }
 
 TEST(Generator, Deterministic)

@@ -99,6 +99,33 @@ TEST(Rng, ChanceExtremes)
     }
 }
 
+// The integer threshold picks exactly what the double comparison
+// picks, including draws right at the boundary.
+TEST(Rng, ChanceBelowMatchesChance)
+{
+    const double probs[] = {0.0, -0.5, 1e-300, 0x1.0p-53, 0.1, 0.25,
+                            1.0 / 3.0, 0.5, 0.999999, 1.0, 2.0};
+    Rng draws(99);
+    for (double p : probs) {
+        const std::uint64_t below = Rng::chanceBelow(p);
+        const auto agree = [&](std::uint64_t k) {
+            const bool viaDouble = static_cast<double>(k) * 0x1.0p-53 < p;
+            EXPECT_EQ(k < below, viaDouble) << "p=" << p << " k=" << k;
+        };
+        for (int i = 0; i < 10000; ++i)
+            agree(draws.next53());
+        for (std::uint64_t k : {std::uint64_t{0}, below - 1, below,
+                                below + 1, (std::uint64_t{1} << 53) - 1}) {
+            if (k < (std::uint64_t{1} << 53))
+                agree(k);
+        }
+    }
+    // Same draws, same picks.
+    Rng a(7), b(7);
+    for (int i = 0; i < 1000; ++i)
+        EXPECT_EQ(a.chance(0.3), b.next53() < Rng::chanceBelow(0.3));
+}
+
 TEST(Rng, GeometricMean)
 {
     Rng r(19);

@@ -284,6 +284,22 @@ TEST(ServiceRequest, DecodeRejectsSemanticGarbage)
     EXPECT_TRUE(threw);
 }
 
+TEST(ServiceRequest, DecodeRejectsMoreCoresThanTheMasksHold)
+{
+    RunRequest req = tinyRequest();
+    req.config.numCores = maxCores + 1;
+    req.mix.apps.assign(maxCores + 1, req.mix.apps.front());
+    Serializer s;
+    svc::encodeRequest(s, req);
+    Deserializer d(s.image());
+    try {
+        svc::decodeRequest(d);
+        FAIL() << "a 33-core request was accepted";
+    } catch (const SimError &err) {
+        EXPECT_EQ(err.kind(), SimError::Kind::Protocol) << err.what();
+    }
+}
+
 // ---------------------------------------------------------------------
 // Result cache
 // ---------------------------------------------------------------------

@@ -116,6 +116,99 @@ TEST(SnapshotFormat, VectorRoundTripAndCountMismatch)
     }
 }
 
+/** Bit-at-a-time CRC-32 (IEEE 802.3): the definition crc32() must match. */
+std::uint32_t
+bitwiseCrc32(const std::uint8_t *p, std::size_t len, std::uint32_t crc = 0)
+{
+    crc = ~crc;
+    for (std::size_t i = 0; i < len; ++i) {
+        crc ^= p[i];
+        for (int k = 0; k < 8; ++k)
+            crc = (crc & 1) ? 0xedb88320u ^ (crc >> 1) : crc >> 1;
+    }
+    return ~crc;
+}
+
+// The image format is fixed-width little-endian whatever the host: pin
+// the exact bytes of one put of every width, vector helpers included.
+TEST(SnapshotFormat, ImageBytesAreFixedLittleEndian)
+{
+    Serializer s;
+    s.beginSection("ab");
+    s.putU8(0x01);
+    s.putU16(0x0302);
+    s.putU32(0x07060504);
+    s.putU64(0x0f0e0d0c0b0a0908ULL);
+    saveVec(s, std::vector<std::uint32_t>{0x13121110});
+    saveVec(s, std::vector<std::uint64_t>{0x1b1a191817161514ULL});
+    s.endSection("ab");
+
+    const std::vector<std::uint8_t> payload = {
+        0x02, 0x00, 'a', 'b',                            // section name
+        0x2b, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // length 43
+        0x01,                                            // u8
+        0x02, 0x03,                                      // u16
+        0x04, 0x05, 0x06, 0x07,                          // u32
+        0x08, 0x09, 0x0a, 0x0b, 0x0c, 0x0d, 0x0e, 0x0f,  // u64
+        0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // u32 vec count
+        0x10, 0x11, 0x12, 0x13,
+        0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // u64 vec count
+        0x14, 0x15, 0x16, 0x17, 0x18, 0x19, 0x1a, 0x1b,
+    };
+    std::vector<std::uint8_t> want = {'R', 'C', 'S', 'N', 'A', 'P', '0',
+                                      '1', 0x02, 0x00, 0x00, 0x00};
+    want.insert(want.end(), payload.begin(), payload.end());
+    const std::uint32_t crc = bitwiseCrc32(payload.data(), payload.size());
+    for (int i = 0; i < 4; ++i)
+        want.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
+    EXPECT_EQ(s.image(), want);
+    EXPECT_EQ(s.payloadCrc(), crc);
+
+    Deserializer d(want);
+    d.beginSection("ab");
+    EXPECT_EQ(d.getU8(), 0x01);
+    EXPECT_EQ(d.getU8(), 0x02); // the u16, a byte at a time
+    EXPECT_EQ(d.getU8(), 0x03);
+    EXPECT_EQ(d.getU32(), 0x07060504u);
+    EXPECT_EQ(d.getU64(), 0x0f0e0d0c0b0a0908ULL);
+    std::vector<std::uint32_t> v32(1);
+    std::vector<std::uint64_t> v64(1);
+    restoreVec(d, v32, "v32");
+    restoreVec(d, v64, "v64");
+    d.endSection("ab");
+    EXPECT_EQ(v32.front(), 0x13121110u);
+    EXPECT_EQ(v64.front(), 0x1b1a191817161514ULL);
+}
+
+TEST(SnapshotCrc, CheckValue)
+{
+    const char *check = "123456789";
+    EXPECT_EQ(crc32(check, 9), 0xcbf43926u);
+    EXPECT_EQ(crc32(check, 0), 0u);
+}
+
+// Slice-by-8 must equal the bytewise definition at every length around
+// its 8-byte stride and at odd start alignments, chained or not.
+TEST(SnapshotCrc, SliceBy8MatchesBytewise)
+{
+    Rng rng(0xc3c3);
+    std::vector<std::uint8_t> buf(64 + 16);
+    for (int round = 0; round < 8; ++round) {
+        for (std::uint8_t &b : buf)
+            b = static_cast<std::uint8_t>(rng.next());
+        for (std::size_t off : {0u, 1u, 3u, 5u, 7u}) {
+            for (std::size_t len = 0; len <= 64; ++len) {
+                const std::uint8_t *p = buf.data() + off;
+                ASSERT_EQ(crc32(p, len), bitwiseCrc32(p, len))
+                    << "offset " << off << " length " << len;
+                const std::size_t cut = len / 3;
+                EXPECT_EQ(crc32(p + cut, len - cut, crc32(p, cut)),
+                          bitwiseCrc32(p, len));
+            }
+        }
+    }
+}
+
 TEST(SnapshotFormat, FileRoundTripIsAtomicAndValid)
 {
     const std::string path = tempPath("snap_roundtrip.bin");
