@@ -1,14 +1,19 @@
 /**
  * @file
  * google-benchmark micro-benchmarks of the core structures: protocol
- * transitions, replacement-policy victim selection, tag/data array
- * operations, DRAM access, and end-to-end simulator throughput.
+ * transitions, replacement-policy victim selection, way-scans, private
+ * L1/L2 classification, tag/data array operations, DRAM access, and
+ * end-to-end simulator throughput.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "cache/conventional_llc.hh"
 #include "cache/policies.hh"
+#include "cache/private_cache.hh"
+#include "common/wayscan.hh"
 #include "coherence/protocol.hh"
 #include "reuse/reuse_cache.hh"
 #include "sim/cmp.hh"
@@ -78,6 +83,71 @@ BM_ClockFullyAssociative(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ClockFullyAssociative)->Arg(2048)->Arg(16384);
+
+void
+BM_ScanWays(benchmark::State &state)
+{
+    // One tag-lane probe per iteration (common/wayscan.hh, the backend
+    // this build compiled in) over 64 cache-resident sets; half the
+    // probes hit a random way, half miss.
+    const auto ways = static_cast<std::uint32_t>(state.range(0));
+    constexpr std::uint32_t sets = 64;
+    constexpr std::size_t probes = 1024;
+    Rng rng(9);
+    std::vector<std::uint64_t> lane(sets * ways);
+    for (std::uint64_t &tag : lane)
+        tag = rng.below(std::uint64_t{1} << 40);
+    std::vector<const std::uint64_t *> set_of(probes);
+    std::vector<std::uint64_t> key_of(probes);
+    for (std::size_t i = 0; i < probes; ++i) {
+        set_of[i] = lane.data() + rng.below(sets) * ways;
+        key_of[i] = rng.below(2) ? set_of[i][rng.below(ways)]
+                                 : std::uint64_t{1} << 41;
+    }
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(scanWays(set_of[i], ways, key_of[i]));
+        i = (i + 1) & (probes - 1);
+    }
+    state.SetLabel(wayScanBackend());
+}
+BENCHMARK(BM_ScanWays)->Arg(4)->Arg(8)->Arg(16);
+
+void
+BM_PrivateClassify(benchmark::State &state)
+{
+    // One core's L1/L2 at the Table 4 sizes, probed the way a core
+    // mostly sees it: 7 of 8 reads go to a 256-line L1-resident hot
+    // set, the rest to an L2-resident 2048-line region (L1 miss, L2
+    // hit, L1 fill).  After warm-up no probe leaves the hierarchy.
+    PrivateHierarchy ph(PrivateConfig{}, 0, "bench");
+    const auto touch = [&ph](Addr line) {
+        if (ph.classify(line, MemOp::Read, false).needLlc) {
+            Addr victim = 0;
+            bool dirty = false;
+            ph.fill(line, false, false, victim, dirty);
+        }
+    };
+    constexpr std::uint64_t hot = 256;
+    constexpr std::uint64_t warm = 2048;
+    const Addr warm_base = Addr{1} << 30;
+    for (std::uint64_t n = 0; n < warm; ++n)
+        touch(warm_base + n * lineBytes);
+    for (std::uint64_t n = 0; n < hot; ++n)
+        touch(n * lineBytes);
+    constexpr std::size_t probes = 4096;
+    Rng rng(13);
+    std::vector<Addr> lines(probes);
+    for (Addr &line : lines)
+        line = rng.below(8) ? rng.below(hot) * lineBytes
+                            : warm_base + rng.below(warm) * lineBytes;
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(ph.classify(lines[i], MemOp::Read, false));
+        i = (i + 1) & (probes - 1);
+    }
+}
+BENCHMARK(BM_PrivateClassify);
 
 class NullRecaller : public RecallHandler
 {

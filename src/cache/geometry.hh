@@ -42,6 +42,7 @@ class CacheGeometry
                   static_cast<unsigned long long>(num_lines), num_ways);
         RC_ASSERT(isPowerOf2(sets), "set count must be a power of two");
         setShift = floorLog2(sets);
+        setMask = sets - 1;
     }
 
     /** Build from a capacity in bytes and an associativity. */
@@ -52,11 +53,12 @@ class CacheGeometry
         return CacheGeometry(bytes / lineBytes, num_ways);
     }
 
-    /** Set index of a line address. */
+    /** Set index of a line address (the set count is a power of two,
+     *  so the low line-number bits are one AND away). */
     std::uint64_t
     setIndex(Addr line_addr) const
     {
-        return bitField(lineNumber(line_addr), 0, setShift);
+        return lineNumber(line_addr) & setMask;
     }
 
     /** Tag of a line address (line number with the set bits removed). */
@@ -84,6 +86,7 @@ class CacheGeometry
     std::uint32_t ways = 1;
     std::uint64_t sets = 0;
     std::uint32_t setShift = 0;
+    std::uint64_t setMask = 0;  //!< sets - 1
 };
 
 } // namespace rc

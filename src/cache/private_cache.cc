@@ -37,14 +37,15 @@ TagStore::TagStore(const CacheGeometry &geometry, const std::string &name)
 std::uint32_t
 TagStore::lruVictim(std::uint64_t set) const
 {
-    const std::uint64_t base = set * geom.numWays();
+    // Branch-free min-select: a strictly smaller stamp replaces the
+    // running best, so ties keep the first (lowest) way.
+    const std::uint64_t *st = stamp.data() + set * geom.numWays();
     std::uint32_t best = 0;
-    std::uint64_t best_stamp = stamp[base];
+    std::uint64_t best_stamp = st[0];
     for (std::uint32_t w = 1; w < geom.numWays(); ++w) {
-        if (stamp[base + w] < best_stamp) {
-            best_stamp = stamp[base + w];
-            best = w;
-        }
+        const bool less = st[w] < best_stamp;
+        best_stamp = less ? st[w] : best_stamp;
+        best = less ? w : best;
     }
     return best;
 }
@@ -93,16 +94,14 @@ TagStore::fill(Addr line_addr, PrivState state, std::uint32_t *way_out)
     const std::uint64_t set = geom.setIndex(line_addr);
     const std::uint64_t base = set * geom.numWays();
 
-    std::uint32_t way = geom.numWays();
-    for (std::uint32_t w = 0; w < geom.numWays(); ++w) {
-        if (!valid[base + w]) {
-            way = w;
-            break;
-        }
-    }
+    // Exactly the invalid ways hold the sentinel tag (restore() rejects
+    // a valid way carrying it), so the first free way is one tag scan.
+    const std::int32_t free_way =
+        findWay(tags.data() + base, invalidTag, geom.numWays());
+    std::uint32_t way = static_cast<std::uint32_t>(free_way);
 
     Eviction ev;
-    if (way == geom.numWays()) {
+    if (free_way < 0) {
         way = lruVictim(set);
         ev.valid = true;
         ev.lineAddr = geom.lineAddr(tags[base + way], set);
@@ -151,20 +150,19 @@ TagStore::invalidate(Addr line_addr)
     const std::uint64_t set = geom.setIndex(line_addr);
     const std::uint64_t tag = geom.tagOf(line_addr);
     const std::uint64_t base = set * geom.numWays();
-    for (std::uint32_t w = 0; w < geom.numWays(); ++w) {
-        if (tags[base + w] == tag) {
-            Eviction ev;
-            ev.valid = true;
-            ev.lineAddr = line_addr;
-            ev.state = payload[base + w].state;
-            ev.dirty = payload[base + w].dirty;
-            valid[base + w] = 0;
-            tags[base + w] = invalidTag;
-            payload[base + w] = Way{};
-            return ev;
-        }
-    }
-    return Eviction{};
+    const std::int32_t w = findWay(tags.data() + base, tag, geom.numWays());
+    if (w < 0)
+        return Eviction{};
+    const std::uint64_t idx = base + static_cast<std::uint64_t>(w);
+    Eviction ev;
+    ev.valid = true;
+    ev.lineAddr = line_addr;
+    ev.state = payload[idx].state;
+    ev.dirty = payload[idx].dirty;
+    valid[idx] = 0;
+    tags[idx] = invalidTag;
+    payload[idx] = Way{};
+    return ev;
 }
 
 std::uint64_t
@@ -359,12 +357,12 @@ PrivateHierarchy::fillImpl(Addr line_addr, bool is_instr, bool writable,
 {
     const PrivState st = writable ? PrivState::M : PrivState::S;
     std::uint32_t l2w = 0;
-    TagStore::Eviction ev = l2.fill(line_addr, st, Rec ? &l2w : nullptr);
+    TagStore::Eviction ev = l2.fill(line_addr, st, &l2w);
     if (writable) {
-        // The pending write completes right after the fill.
-        TagStore::Way *w = l2.lookup(line_addr);
-        RC_ASSERT(w, "line vanished during fill");
-        w->dirty = true;
+        // The pending write completes right after the fill: a hit on
+        // the way just filled (second LRU stamp), now dirty.
+        l2.touchAt(line_addr, l2w);
+        l2.wayAt(line_addr, l2w).dirty = true;
     }
 
     if (ev.valid) {
@@ -741,9 +739,35 @@ TagStore::restore(Deserializer &d)
         payload[i].dirty = d.getBool();
     }
     restoreVec(d, valid, "tag-store valid bits");
+    // The sentinel tag marks exactly the invalid ways (fill() finds a
+    // free way by scanning for it), so a corrupt image must not leave a
+    // valid way that looks free or two valid copies of one line.
     for (std::uint64_t i = 0; i < payload.size(); ++i) {
+        if (valid[i] > 1)
+            throwSimError(SimError::Kind::Snapshot,
+                          "tag store way %llu has validity byte %u",
+                          static_cast<unsigned long long>(i),
+                          static_cast<unsigned>(valid[i]));
         if (!valid[i])
             tags[i] = invalidTag;
+        else if (tags[i] == invalidTag)
+            throwSimError(SimError::Kind::Snapshot,
+                          "tag store way %llu is valid but carries the "
+                          "invalid-way sentinel tag",
+                          static_cast<unsigned long long>(i));
+    }
+    const std::uint32_t ways = geom.numWays();
+    for (std::uint64_t base = 0; base < payload.size(); base += ways) {
+        for (std::uint32_t w = 0; w + 1 < ways; ++w) {
+            if (valid[base + w] &&
+                scanWaysFrom(tags.data() + base, ways, tags[base + w],
+                             w + 1) >= 0)
+                throwSimError(SimError::Kind::Snapshot,
+                              "tag store set %llu holds tag %llx twice",
+                              static_cast<unsigned long long>(base / ways),
+                              static_cast<unsigned long long>(
+                                  tags[base + w]));
+        }
     }
     d.beginSection("repl");
     tick = d.getU64();

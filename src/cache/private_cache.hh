@@ -44,8 +44,9 @@ struct PrivateConfig
  * Storage is structure-of-arrays: the way-scan in lookup()/peek()
  * compares a contiguous tag lane and only touches the payload on a hit.
  * Invalid ways hold a sentinel tag no 40-bit address can produce, so
- * the scan is a single compare per way with no validity load; the
- * validity lane still exists for fills, counting and serialization
+ * the scan is a single compare per way with no validity load, and a
+ * fill finds its free way by scanning for the sentinel; the validity
+ * lane still exists for counting, fan-out replay and serialization
  * (snapshots store 0 for invalid slots, exactly as the AoS layout did).
  * The LRU stamps live inline as another lane rather than behind a
  * ReplacementPolicy — the policy is fixed, and the serialized image
@@ -134,7 +135,8 @@ class TagStore
     void save(Serializer &s) const;
 
     /** Restore a save()'d image; throws SimError(Snapshot) on geometry
-     *  drift. */
+     *  drift, a validity byte other than 0/1, a valid way carrying the
+     *  sentinel tag, or a tag valid twice in one set. */
     void restore(Deserializer &d);
 
   private:

@@ -43,17 +43,6 @@ bitsFor(std::uint64_t n)
     return ceilLog2(n);
 }
 
-/** Extract @p num_bits starting at bit @p lsb from @p v. */
-constexpr std::uint64_t
-bitField(std::uint64_t v, std::uint32_t lsb, std::uint32_t num_bits)
-{
-    if (num_bits == 0)
-        return 0;
-    if (num_bits >= 64)
-        return v >> lsb;
-    return (v >> lsb) & ((std::uint64_t{1} << num_bits) - 1);
-}
-
 } // namespace rc
 
 #endif // RC_COMMON_BITOPS_HH

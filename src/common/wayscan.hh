@@ -6,8 +6,10 @@
  * packed lane (64-bit tags, or an 8-bit occupancy byte per way), so the
  * per-access search is a fixed-width compare over contiguous memory.
  * This header centralizes that search and selects an implementation at
- * compile time: AVX2 on x86-64, NEON on AArch64, and a branchless
- * scalar loop everywhere else (or when RC_SIMD is disabled).
+ * compile time: AVX2 where the target enables it (-march with AVX2),
+ * SSE2 on every other x86-64 target (SSE2 is part of the baseline ISA,
+ * so the default portable build gets it), NEON on AArch64, and a
+ * branchless scalar loop everywhere else (or when RC_SIMD is disabled).
  *
  * All variants return the FIRST matching way, which is what the callers
  * need: private tag stores never hold duplicate tags (a sentinel marks
@@ -24,6 +26,9 @@
 #if !defined(RC_SIMD_DISABLED) && defined(__AVX2__)
 #define RC_WAYSCAN_AVX2 1
 #include <immintrin.h>
+#elif !defined(RC_SIMD_DISABLED) && defined(__SSE2__)
+#define RC_WAYSCAN_SSE2 1
+#include <emmintrin.h>
 #elif !defined(RC_SIMD_DISABLED) && \
     (defined(__ARM_NEON) || defined(__ARM_NEON__) || defined(__aarch64__))
 #define RC_WAYSCAN_NEON 1
@@ -39,6 +44,8 @@ wayScanBackend()
 {
 #if defined(RC_WAYSCAN_AVX2)
     return "avx2";
+#elif defined(RC_WAYSCAN_SSE2)
+    return "sse2";
 #elif defined(RC_WAYSCAN_NEON)
     return "neon";
 #else
@@ -74,6 +81,37 @@ scanWays(const std::uint64_t *lane, std::uint64_t key)
                 << w;
     }
     return mask ? std::countr_zero(mask) : -1;
+#elif defined(RC_WAYSCAN_SSE2)
+    // SSE2 has no 64-bit compare: compare 32-bit halves, narrow the
+    // results with saturating packs (all-ones stays all-ones), and take
+    // one byte mask per 4 or 8 ways.  A way matches when the mask bits
+    // of both its halves are set.
+    static_assert(W == 4 || W == 8 || W == 16,
+                  "SSE2 scans take 4, 8 or 16 ways");
+    const __m128i k = _mm_set1_epi64x(static_cast<long long>(key));
+    const auto eq = [&](std::uint32_t w) {
+        return _mm_cmpeq_epi32(
+            _mm_loadu_si128(reinterpret_cast<const __m128i *>(lane + w)), k);
+    };
+    if constexpr (W == 4) {
+        // Four mask bits per way: two per 16-bit half.
+        std::uint32_t m = static_cast<std::uint32_t>(
+            _mm_movemask_epi8(_mm_packs_epi32(eq(0), eq(2))));
+        m &= (m >> 2) & 0x1111u;
+        return m ? std::countr_zero(m) >> 2 : -1;
+    } else {
+        // Two mask bits per way: one per 8-bit half.
+        std::uint32_t m = 0;
+        for (std::uint32_t w = 0; w < W; w += 8) {
+            const __m128i lo = _mm_packs_epi32(eq(w), eq(w + 2));
+            const __m128i hi = _mm_packs_epi32(eq(w + 4), eq(w + 6));
+            m |= static_cast<std::uint32_t>(
+                     _mm_movemask_epi8(_mm_packs_epi16(lo, hi)))
+                 << (2 * w);
+        }
+        m &= (m >> 1) & 0x55555555u;
+        return m ? std::countr_zero(m) >> 1 : -1;
+    }
 #elif defined(RC_WAYSCAN_NEON)
     const uint64x2_t k = vdupq_n_u64(key);
     for (std::uint32_t w = 0; w < W; w += 2) {
@@ -149,6 +187,16 @@ scanFirstFree(const std::uint8_t *lane, std::uint32_t n)
             reinterpret_cast<const __m256i *>(lane + w));
         const std::uint32_t mask = static_cast<std::uint32_t>(
             _mm256_movemask_epi8(_mm256_cmpeq_epi8(v, zero)));
+        if (mask)
+            return static_cast<std::int32_t>(w + std::countr_zero(mask));
+    }
+#elif defined(RC_WAYSCAN_SSE2)
+    const __m128i zero = _mm_setzero_si128();
+    for (; w + 16 <= n; w += 16) {
+        const __m128i v =
+            _mm_loadu_si128(reinterpret_cast<const __m128i *>(lane + w));
+        const std::uint32_t mask = static_cast<std::uint32_t>(
+            _mm_movemask_epi8(_mm_cmpeq_epi8(v, zero)));
         if (mask)
             return static_cast<std::int32_t>(w + std::countr_zero(mask));
     }

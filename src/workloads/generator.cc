@@ -1,7 +1,11 @@
 #include "workloads/generator.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <map>
+#include <mutex>
+#include <utility>
 
 #include "common/log.hh"
 #include "snapshot/serializer.hh"
@@ -124,16 +128,10 @@ SyntheticStream::SyntheticStream(const AppProfile &app, CoreId core,
                 : 0;
         }
         if (c.pattern == AccessPattern::Zipf) {
-            st.zipfCdf.resize(st.lines);
-            double sum = 0.0;
-            for (std::uint64_t i = 0; i < st.lines; ++i) {
-                sum += 1.0 / std::pow(static_cast<double>(i + 1), c.zipfS);
-                st.zipfCdf[i] = sum;
-            }
+            st.zipf = ZipfTable::get(st.lines, c.zipfS);
             // Scatter hot ranks across the region so they spread over
             // cache sets; an odd multiplier keeps power-of-two coverage.
             st.scatter = 0x9E3779B9u | 1u;
-            buildZipfGuide(st);
         }
         comps.push_back(std::move(st));
         RC_ASSERT(c.weight >= 0.0, "negative component weight in %s",
@@ -163,13 +161,7 @@ SyntheticStream::SyntheticStream(const AppProfile &app, CoreId core,
     code.base = privateBase(core, 63);
     code.base += scatterOffset(code.base, code.lines);
     code.scatter = 0x9E3779B9u | 1u;
-    code.zipfCdf.resize(code.lines);
-    double code_sum = 0.0;
-    for (std::uint64_t i = 0; i < code.lines; ++i) {
-        code_sum += 1.0 / std::pow(static_cast<double>(i + 1), 1.3);
-        code.zipfCdf[i] = code_sum;
-    }
-    buildZipfGuide(code);
+    code.zipf = ZipfTable::get(code.lines, 1.3);
 
     // Phase behaviour: every refsPerPhase data references the hot sets
     // relocate and the popularity rankings reshuffle.  Cores start at
@@ -211,6 +203,73 @@ SyntheticStream::advancePhase()
     reseedComponent(code, 0xc0de);
 }
 
+namespace
+{
+
+/** Registry key: the line count and the bit pattern of the exponent
+ *  (exact, so no two distinct exponents can alias). */
+using ZipfKey = std::pair<std::uint64_t, std::uint64_t>;
+
+struct ZipfRegistry
+{
+    std::mutex mutex;
+    std::map<ZipfKey, std::weak_ptr<const ZipfTable>> tables;
+
+    /** Drop the entries whose table died (caller holds the mutex). */
+    void
+    prune()
+    {
+        std::erase_if(tables,
+                      [](const auto &kv) { return kv.second.expired(); });
+    }
+};
+
+/** Never destroyed, so streams built or dropped during static
+ *  initialization or teardown still find it. */
+ZipfRegistry &
+zipfRegistry()
+{
+    static ZipfRegistry *const registry = new ZipfRegistry;
+    return *registry;
+}
+
+} // namespace
+
+std::shared_ptr<const ZipfTable>
+ZipfTable::get(std::uint64_t lines, double s)
+{
+    const ZipfKey key{lines, std::bit_cast<std::uint64_t>(s)};
+    ZipfRegistry &reg = zipfRegistry();
+    {
+        std::lock_guard<std::mutex> lock(reg.mutex);
+        const auto it = reg.tables.find(key);
+        if (it != reg.tables.end()) {
+            if (auto live = it->second.lock())
+                return live;
+        }
+    }
+    // Build outside the lock so streams needing different tables
+    // construct in parallel; a racing builder of the same key adopts
+    // whichever table reached the registry first.
+    auto built = std::make_shared<const ZipfTable>(lines, s);
+    std::lock_guard<std::mutex> lock(reg.mutex);
+    auto &slot = reg.tables[key];
+    if (auto live = slot.lock())
+        return live;
+    slot = built;
+    reg.prune();
+    return built;
+}
+
+std::size_t
+ZipfTable::liveEntries()
+{
+    ZipfRegistry &reg = zipfRegistry();
+    std::lock_guard<std::mutex> lock(reg.mutex);
+    reg.prune();
+    return reg.tables.size();
+}
+
 // The Zipf CDF inversion is the hottest per-reference operation: a
 // binary search over a region-sized array of doubles whose probes miss
 // cache.  The guide table maps equal-probability slices of [0, total)
@@ -218,39 +277,40 @@ SyntheticStream::advancePhase()
 // of adjacent elements.  It accelerates lower_bound without replacing
 // it: for any u the returned rank is exactly the rank the full-array
 // lower_bound would return, so the generated stream is bit-identical.
-// The table depends only on zipfCdf (ctor-built, never reseeded), so it
-// needs no serialization.
-void
-SyntheticStream::buildZipfGuide(CompState &comp)
+ZipfTable::ZipfTable(std::uint64_t lines, double s) : cdf(lines)
 {
-    const auto &cdf = comp.zipfCdf;
+    double sum = 0.0;
+    for (std::uint64_t i = 0; i < lines; ++i) {
+        sum += 1.0 / std::pow(static_cast<double>(i + 1), s);
+        cdf[i] = sum;
+    }
+
     const std::uint64_t n = cdf.size();
-    comp.zipfGuide.assign(n + 1, 0);
+    guide.assign(n + 1, 0);
     const double total = cdf.back();
-    comp.zipfGuideScale = static_cast<double>(n) / total;
+    guideScale = static_cast<double>(n) / total;
     std::uint64_t i = 0;
     for (std::uint64_t g = 0; g <= n; ++g) {
         const double bound =
             total * (static_cast<double>(g) / static_cast<double>(n));
         while (i < n && cdf[i] < bound)
             ++i;
-        comp.zipfGuide[g] = static_cast<std::uint32_t>(i);
+        guide[g] = static_cast<std::uint32_t>(i);
     }
 }
 
 std::uint64_t
-SyntheticStream::zipfRank(const CompState &comp, double u)
+ZipfTable::rank(double u) const
 {
-    const auto &cdf = comp.zipfCdf;
     const std::uint64_t n = cdf.size();
     // Reciprocal multiply instead of dividing by the total: the bucket
     // index is only a starting hint, so its rounding is non-semantic —
     // the widening loops below restore exactness.
-    std::uint64_t g = static_cast<std::uint64_t>(u * comp.zipfGuideScale);
+    std::uint64_t g = static_cast<std::uint64_t>(u * guideScale);
     if (g >= n)
         g = n - 1;
-    std::uint64_t lo = comp.zipfGuide[g];
-    std::uint64_t hi = comp.zipfGuide[g + 1];
+    std::uint64_t lo = guide[g];
+    std::uint64_t hi = guide[g + 1];
     if (hi == 0)
         hi = 1; // the bracket must cover at least cdf[0]
     // The bucket index suffers float rounding the guide construction
@@ -283,8 +343,9 @@ SyntheticStream::genLine(CompState &comp)
         line = rng.below(comp.lines);
         break;
       case AccessPattern::Zipf: {
-        const double u = rng.uniform() * comp.zipfCdf.back();
-        const std::uint64_t rank = zipfRank(comp, u);
+        const ZipfTable &table = *comp.zipf;
+        const double u = rng.uniform() * table.total();
+        const std::uint64_t rank = table.rank(u);
         line = (rank * comp.scatter + comp.salt) % comp.lines;
         break;
       }
@@ -357,7 +418,7 @@ SyntheticStream::next()
 }
 
 // Only the fields next()/advancePhase() mutate are serialized; the layout
-// (base, lines, pattern, zipfCdf) is ctor-derived and reconstructed from
+// (base, lines, pattern, Zipf table) is ctor-derived and reconstructed from
 // the profile.
 void
 SyntheticStream::save(Serializer &s) const

@@ -8,6 +8,7 @@
 #define RC_WORKLOADS_GENERATOR_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,43 @@
 
 namespace rc
 {
+
+/**
+ * Immutable Zipf popularity table over @c lines ranks with exponent s:
+ * the cumulative weights sum_{i<=r} 1/(i+1)^s and a guide that maps
+ * equal-probability slices of [0, total) to the CDF range holding them.
+ *
+ * A table depends only on (lines, s), and a homogeneous mix would
+ * otherwise build the same region-sized CDF once per core.  get() hands
+ * every stream with an equal key (s compared by bit pattern) the same
+ * table; the registry keeps weak references only, so a table lives
+ * exactly as long as some stream holds it and expired entries are
+ * pruned on every insert.
+ */
+class ZipfTable
+{
+  public:
+    /** The live table for (@p lines, @p s), built on first use. */
+    static std::shared_ptr<const ZipfTable> get(std::uint64_t lines,
+                                                double s);
+
+    /** Registry entries whose table is still alive (prunes the rest;
+     *  tests use it to check the registry drains). */
+    static std::size_t liveEntries();
+
+    ZipfTable(std::uint64_t lines, double s);
+
+    /** First rank whose cumulative weight is >= @p u: exactly
+     *  std::lower_bound over the whole CDF, narrowed by the guide. */
+    std::uint64_t rank(double u) const;
+
+    double total() const { return cdf.back(); } //!< sum of all weights
+
+  private:
+    std::vector<double> cdf;            //!< cumulative Zipf weights
+    std::vector<std::uint32_t> guide;   //!< CDF search accelerator
+    double guideScale = 0.0;            //!< buckets per unit weight
+};
 
 /**
  * RefStream implementation over an AppProfile.
@@ -65,9 +103,8 @@ class SyntheticStream final : public RefStream
         std::uint32_t burstLeft = 0;
         std::uint64_t scatter = 1;        //!< rank->line multiplier (Zipf)
         std::uint64_t salt = 0;           //!< rank->line offset (Zipf)
-        std::vector<double> zipfCdf;      //!< cumulative Zipf weights
-        std::vector<std::uint32_t> zipfGuide; //!< CDF search accelerator
-        double zipfGuideScale = 0.0;      //!< buckets per unit weight
+        std::shared_ptr<const ZipfTable> zipf; //!< shared popularity
+                                               //!< table (Zipf only)
         std::uint64_t universeLines = 1;  //!< Loop: relocation universe
         std::uint64_t window = 0;         //!< Loop: current window start
         Addr pcBase = 0;                  //!< synthetic PC of this
@@ -76,8 +113,6 @@ class SyntheticStream final : public RefStream
                                           //!< serialized)
     };
 
-    static void buildZipfGuide(CompState &comp);
-    static std::uint64_t zipfRank(const CompState &comp, double u);
     Addr genLine(CompState &comp);
     MemRef makeDataRef();
     void advancePhase();

@@ -50,15 +50,6 @@ TEST(Bitops, BitsFor)
     EXPECT_EQ(bitsFor(17), 5u);
 }
 
-TEST(Bitops, BitField)
-{
-    EXPECT_EQ(bitField(0xdeadbeef, 0, 4), 0xfull);
-    EXPECT_EQ(bitField(0xdeadbeef, 4, 8), 0xeeull);
-    EXPECT_EQ(bitField(0xff, 4, 0), 0ull);
-    EXPECT_EQ(bitField(~0ull, 0, 64), ~0ull);
-    EXPECT_EQ(bitField(~0ull, 1, 64), ~0ull >> 1);
-}
-
 TEST(Bitops, LineHelpers)
 {
     EXPECT_EQ(lineAlign(0x12345), 0x12340ull);

@@ -692,7 +692,9 @@ TEST(DaemonIsolated, RlimitCpuKillsARunawaySpinTyped)
                                    const std::atomic<bool> *abort,
                                    std::atomic<std::uint64_t> *beat) {
         if (req.seed == spinSeed) {
-            for (volatile std::uint64_t i = 0;; ++i)
+            // The volatile load keeps the endless loop observable.
+            const volatile std::uint64_t step = 1;
+            for (std::uint64_t i = 0;; i += step)
                 if (beat != nullptr && i % 65536 == 0)
                     beat->fetch_add(1);
         }

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cmath>
 #include <set>
+#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -284,6 +288,120 @@ TEST(Generator, SharedComponentsOverlapAcrossCores)
         overlap += lines_a.count(lineAlign(r.addr));
     }
     EXPECT_GT(static_cast<double>(overlap) / total, 0.5);
+}
+
+// ---------------------------------------------------------------------
+// Shared Zipf tables.
+// ---------------------------------------------------------------------
+
+/** The first @p n addresses a fresh core-0 stream of @p app emits. */
+std::vector<Addr>
+streamPrefix(const AppProfile &app, int n)
+{
+    SyntheticStream st(app, 0, 42, 8);
+    std::vector<Addr> out;
+    for (int i = 0; i < n; ++i)
+        out.push_back(st.next().addr);
+    return out;
+}
+
+TEST(ZipfTable, RankMatchesFullLowerBound)
+{
+    // The guide only narrows the search: every rank must be exactly
+    // the lower_bound over the whole CDF, built the way streams build it.
+    const std::uint64_t lines = 3000;
+    const double s = 0.9;
+    std::vector<double> cdf(lines);
+    double sum = 0.0;
+    for (std::uint64_t i = 0; i < lines; ++i) {
+        sum += 1.0 / std::pow(static_cast<double>(i + 1), s);
+        cdf[i] = sum;
+    }
+    const auto table = ZipfTable::get(lines, s);
+    EXPECT_EQ(table->total(), sum);
+    Rng rng(11);
+    for (int i = 0; i < 20000; ++i) {
+        const double u = rng.uniform() * table->total();
+        const auto want = static_cast<std::uint64_t>(
+            std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+        ASSERT_EQ(table->rank(u), want) << "u=" << u;
+    }
+    for (std::uint64_t r : {std::uint64_t{0}, std::uint64_t{1},
+                            lines / 2, lines - 1})
+        EXPECT_EQ(table->rank(cdf[r]), r);
+}
+
+TEST(ZipfTable, EqualKeysShareOneTable)
+{
+    const auto a = ZipfTable::get(1000, 0.9);
+    const auto b = ZipfTable::get(1000, 0.9);
+    EXPECT_EQ(a.get(), b.get());
+
+    // Two streams of one profile hold the same 2048-line s = 0.9 table
+    // (1 MB / scale 8 / 64 B lines) that this test then asks for.
+    SyntheticStream s1(simpleApp(), 0, 42, 8);
+    SyntheticStream s2(simpleApp(), 1, 43, 8);
+    const auto t = ZipfTable::get(2048, 0.9);
+    EXPECT_EQ(t.use_count(), 3);
+}
+
+TEST(ZipfTable, DifferentKeysGetDifferentTables)
+{
+    const auto base = ZipfTable::get(1000, 0.9);
+    const auto other_s = ZipfTable::get(1000, 1.0);
+    const auto other_lines = ZipfTable::get(1001, 0.9);
+    const auto next_s = ZipfTable::get(1000, std::nextafter(0.9, 1.0));
+    EXPECT_NE(base.get(), other_s.get());
+    EXPECT_NE(base.get(), other_lines.get());
+    EXPECT_NE(base.get(), next_s.get());
+    EXPECT_NE(base->total(), other_s->total());
+    EXPECT_NE(base->total(), other_lines->total());
+}
+
+TEST(ZipfTable, RegistryDrainsWhenStreamsDie)
+{
+    const std::size_t before = ZipfTable::liveEntries();
+    {
+        // Keys no other live object holds: a 0.77 data region and a
+        // 48-line code region (24 KB / scale 8).
+        AppProfile app = simpleApp();
+        app.components[1].zipfS = 0.77;
+        app.codeBytes = 24 * 1024;
+        SyntheticStream a(app, 0, 42, 8);
+        SyntheticStream b(app, 1, 42, 8);
+        EXPECT_EQ(ZipfTable::liveEntries(), before + 2);
+    }
+    EXPECT_EQ(ZipfTable::liveEntries(), before);
+}
+
+TEST(ZipfTable, ConcurrentConstructionIsRaceFree)
+{
+    // Eight threads build streams of three profiles at once (two keys
+    // differ, the code table is common) and must each see exactly the
+    // stream a serial build produces.
+    std::vector<AppProfile> apps(3, simpleApp());
+    apps[1].components[1].zipfS = 1.1;
+    apps[2].components[1].regionBytes = 2ull << 20;
+    std::vector<std::vector<Addr>> expected;
+    for (const AppProfile &app : apps)
+        expected.push_back(streamPrefix(app, 2000));
+    const std::size_t before = ZipfTable::liveEntries();
+
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < 8; ++t) {
+        threads.emplace_back([&, t] {
+            for (std::size_t k = 0; k < apps.size(); ++k) {
+                const std::size_t a = (t + k) % apps.size();
+                if (streamPrefix(apps[a], 2000) != expected[a])
+                    ++mismatches;
+            }
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+    EXPECT_EQ(mismatches.load(), 0);
+    EXPECT_EQ(ZipfTable::liveEntries(), before);
 }
 
 } // namespace

@@ -101,8 +101,9 @@ TEST(Histogram, AllEqualSamplesLandInOneBucket)
     EXPECT_EQ(h.bucket(5), 100u);
     EXPECT_DOUBLE_EQ(h.mean(), 5.0);
     for (std::size_t b = 0; b < 8; ++b) {
-        if (b != 5)
+        if (b != 5) {
             EXPECT_EQ(h.bucket(b), 0u) << "bucket " << b;
+        }
     }
 }
 

@@ -330,14 +330,17 @@ TEST(ToMsi, SweepConsistency)
                     EXPECT_FALSE((r.actions & ActDataHit) &&
                                  (r.actions & ActFetchMem));
                     // FetchOwner requires an owner in context.
-                    if (r.actions & ActFetchOwner)
+                    if (r.actions & ActFetchOwner) {
                         EXPECT_TRUE(owner);
+                    }
                     // Data allocation only into tag-bearing states.
-                    if (r.actions & ActAllocData)
+                    if (r.actions & ActAllocData) {
                         EXPECT_TRUE(llcHasData(r.next));
+                    }
                     // Tag-only next state never claims data.
-                    if (r.next == LlcState::TO || r.next == LlcState::I)
+                    if (r.next == LlcState::TO || r.next == LlcState::I) {
                         EXPECT_FALSE(r.actions & ActDataHit);
+                    }
                 }
             }
         }

@@ -88,8 +88,9 @@ TEST(SetDueling, PerThreadIsolation)
     // slots 0..7 and 32..39 with modulus 64).
     EXPECT_TRUE(d.chooseB(20, 3));
     for (CoreId c = 0; c < 8; ++c) {
-        if (c != 3)
+        if (c != 3) {
             EXPECT_FALSE(d.chooseB(20, c));
+        }
     }
 }
 

@@ -554,6 +554,66 @@ TEST(SnapshotSoA, TagStoreDoubleSaveIsByteStable)
         << "TagStore snapshot is not byte-stable across a round trip";
 }
 
+/**
+ * A TagStore image with the given tag and validity lanes (state S,
+ * clean, zero LRU stamps), in the layout TagStore::save() writes.
+ */
+std::vector<std::uint8_t>
+tagStoreImage(const std::vector<std::uint64_t> &tags,
+              const std::vector<std::uint8_t> &valid)
+{
+    Serializer s;
+    s.putU64(tags.size());
+    for (std::uint64_t t : tags) {
+        s.putU64(t);
+        s.putU8(static_cast<std::uint8_t>(PrivState::S));
+        s.putBool(false);
+    }
+    saveVec(s, valid);
+    s.beginSection("repl");
+    s.putU64(0);
+    saveVec(s, std::vector<std::uint64_t>(tags.size(), 0));
+    s.endSection();
+    return s.image();
+}
+
+TEST(SnapshotSoA, TagStoreRestoreRejectsBadValidByte)
+{
+    // Two sets of 4 ways; tags 5 repeat only across sets or in an
+    // invalid way, which is well formed.
+    TagStore ok(CacheGeometry(8, 4), "ok");
+    Deserializer good(
+        tagStoreImage({5, 0, 5, 0, 5, 6, 7, 8}, {1, 0, 0, 0, 1, 1, 1, 1}));
+    ok.restore(good);
+    EXPECT_EQ(ok.residentCount(), 5u);
+    // The restored free ways are found by the sentinel scan.
+    std::uint32_t way = 99;
+    EXPECT_FALSE(ok.fill(Addr{(9 * 2) << 6}, PrivState::S, &way).valid);
+    EXPECT_EQ(way, 1u);
+
+    TagStore ts(CacheGeometry(8, 4), "t");
+    Deserializer bad(
+        tagStoreImage({5, 0, 5, 0, 5, 6, 7, 8}, {1, 0, 2, 0, 1, 1, 1, 1}));
+    expectSnapshotError([&] { ts.restore(bad); });
+}
+
+TEST(SnapshotSoA, TagStoreRestoreRejectsValidSentinelTag)
+{
+    // A valid way carrying the invalid-way sentinel would look free to
+    // fill() and be overwritten without an eviction.
+    TagStore ts(CacheGeometry(4, 4), "t");
+    Deserializer d(tagStoreImage({1, ~std::uint64_t{0}, 3, 4}, {1, 1, 1, 1}));
+    expectSnapshotError([&] { ts.restore(d); });
+}
+
+TEST(SnapshotSoA, TagStoreRestoreRejectsDuplicateValidTags)
+{
+    TagStore ts(CacheGeometry(8, 4), "t");
+    Deserializer d(
+        tagStoreImage({1, 2, 3, 4, 5, 7, 0, 7}, {1, 1, 1, 1, 1, 1, 0, 1}));
+    expectSnapshotError([&] { ts.restore(d); });
+}
+
 TEST(SnapshotSoA, CmpDoubleSaveIsByteStable)
 {
     const Mix mix = makeMixes(1, 8, 37)[0];

@@ -1,16 +1,17 @@
 /**
  * @file
- * Equivalence tests for the vectorized way-scans: whatever backend this
- * binary compiled in (AVX2, NEON or the branchless scalar loop) must
- * agree with a plain first-match reference scan on every input shape
- * the arrays can present — exhaustive placement of the key, the
- * invalid-way sentinel and duplicate keys at associativities 4/8/16,
- * plus the continuation and free-way scans.
+ * Equivalence tests for the vectorized way-scans: whatever backend
+ * this binary compiled in (AVX2, SSE2, NEON or the branchless scalar
+ * loop) must agree with a plain first-match reference scan on every
+ * input shape the arrays can present — exhaustive placement of the
+ * key, the invalid-way sentinel and duplicate keys at associativities
+ * 4/8/16, plus the continuation and free-way scans.
  *
- * CI runs this once per backend: the default legs pick up AVX2/NEON
- * where the toolchain enables them, and a -DRC_SIMD=OFF leg forces the
- * scalar fallback, so a lane-ordering bug in any variant fails the
- * matrix rather than hiding behind whichever backend a developer built.
+ * CI runs this once per backend: the default legs get SSE2 on x86-64,
+ * the -DRC_NATIVE=ON leg gets AVX2 on AVX2 runners, and a -DRC_SIMD=OFF
+ * leg forces the scalar fallback, so a lane-ordering bug in any variant
+ * fails the matrix rather than hiding behind whichever backend a
+ * developer built.
  */
 
 #include <cstdint>
@@ -45,8 +46,20 @@ constexpr std::uint64_t kKey = 0x00deadbeef42ull;
 TEST(WayScan, BackendNameIsKnown)
 {
     const std::string name = wayScanBackend();
-    EXPECT_TRUE(name == "avx2" || name == "neon" || name == "scalar")
+    EXPECT_TRUE(name == "avx2" || name == "sse2" || name == "neon" ||
+                name == "scalar")
         << "unexpected way-scan backend '" << name << "'";
+}
+
+/** SSE2 is baseline x86-64, so a SIMD-enabled x86-64 build must never
+ *  fall back to the scalar loop (the default build is the one timed). */
+TEST(WayScan, X86SimdBuildIsVectorized)
+{
+#if defined(__x86_64__) && !defined(RC_SIMD_DISABLED)
+    EXPECT_STRNE("scalar", wayScanBackend());
+#else
+    GTEST_SKIP() << "not an x86-64 build with RC_SIMD on";
+#endif
 }
 
 /** Every single-occupancy placement: key at way k, rest filler. */
@@ -149,10 +162,12 @@ TEST(WayScan, OddWidthsUseGenericLoop)
 }
 
 /** scanFirstFree over occupancy bytes: every placement of the first
- *  zero, at sizes spanning below and above the vector strides. */
+ *  zero, at sizes spanning below and above the vector strides, including
+ *  lengths whose last 16 bytes are a tail past the 32-byte stride. */
 TEST(WayScan, FirstFreeEveryPosition)
 {
-    for (std::uint32_t n : {1u, 8u, 15u, 16u, 31u, 32u, 33u, 64u, 100u}) {
+    for (std::uint32_t n : {1u, 8u, 15u, 16u, 17u, 31u, 32u, 33u, 47u, 48u,
+                            49u, 64u, 80u, 100u, 112u}) {
         for (std::uint32_t k = 0; k < n; ++k) {
             std::vector<std::uint8_t> lane(n, 1);
             lane[k] = 0;
