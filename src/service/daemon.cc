@@ -188,7 +188,7 @@ Daemon::requestStop()
     draining.store(true);
     // Persist what we know now; stop() compacts again once the last
     // in-flight job has landed its blob.
-    store.persistIndex();
+    store.index().persistIndex();
     workCv.notify_all();
 }
 
@@ -245,7 +245,7 @@ Daemon::stop()
     ::close(wakePipe[0]);
     ::close(wakePipe[1]);
     wakePipe[0] = wakePipe[1] = -1;
-    store.persistIndex();
+    store.index().persistIndex();
 }
 
 void

@@ -1,17 +1,9 @@
 #include "service/result_cache.hh"
 
-#include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <vector>
 
-#include <dirent.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
-#include "common/filelock.hh"
 #include "common/log.hh"
-#include "common/tmpfile.hh"
 #include "snapshot/serializer.hh"
 
 namespace rc::svc
@@ -20,81 +12,16 @@ namespace rc::svc
 namespace
 {
 
-constexpr const char *indexName = "cache.index";
-constexpr const char *indexHeader = "# rc result cache index v1\n";
-
 /** In-memory entries kept before the memo map is wholesale dropped; a
  *  crude bound, but eviction costs only a disk re-read. */
 constexpr std::size_t memoCapacity = 4096;
 
-/** Parse the 16-hex digest out of "memo-<digest>.bin" (0 on mismatch). */
-bool
-digestFromBlobName(const std::string &name, std::uint64_t &digest)
-{
-    if (name.size() != 4 + 1 + 16 + 4 || name.rfind("memo-", 0) != 0 ||
-        name.substr(name.size() - 4) != ".bin")
-        return false;
-    char *end = nullptr;
-    const std::string hex = name.substr(5, 16);
-    digest = std::strtoull(hex.c_str(), &end, 16);
-    return end != nullptr && *end == '\0';
-}
-
 } // namespace
 
-ResultCache::ResultCache(const std::string &dir) : dir(dir)
+ResultCache::ResultCache(const std::string &dir)
+    : blobs(dir, "memo", "cache.index", "# rc result cache index v1\n",
+            "result cache")
 {
-    if (::mkdir(dir.c_str(), 0777) != 0 && errno != EEXIST)
-        throwSimError(SimError::Kind::Io,
-                      "cannot create cache directory '%s': %s",
-                      dir.c_str(), std::strerror(errno));
-    recover();
-}
-
-std::string
-ResultCache::blobPath(std::uint64_t digest) const
-{
-    return dir + "/memo-" + digestHex(digest) + ".bin";
-}
-
-void
-ResultCache::recover()
-{
-    // Blobs are the source of truth: a crash can leave the index behind
-    // the directory (rename landed, append did not) or leave *.tmp
-    // leftovers of a write that never completed.  Adopt the former,
-    // delete the latter once their writer is dead (a live sibling may
-    // be mid-store), then rewrite the index to match reality.
-    std::unordered_set<std::uint64_t> indexed;
-    {
-        std::FILE *f = std::fopen((dir + "/" + indexName).c_str(), "rb");
-        if (f) {
-            char line[128];
-            while (std::fgets(line, sizeof(line), f)) {
-                unsigned long long digest = 0;
-                if (std::sscanf(line, "entry digest=%llx", &digest) == 1)
-                    indexed.insert(digest);
-            }
-            std::fclose(f);
-        }
-    }
-
-    DIR *d = ::opendir(dir.c_str());
-    if (!d)
-        throwSimError(SimError::Kind::Io,
-                      "cannot scan cache directory '%s': %s", dir.c_str(),
-                      std::strerror(errno));
-    while (struct dirent *ent = ::readdir(d)) {
-        std::uint64_t digest = 0;
-        if (!digestFromBlobName(ent->d_name, digest))
-            continue;
-        known.insert(digest);
-        if (!indexed.count(digest))
-            ++counters.recovered;
-    }
-    ::closedir(d);
-    sweepDeadTmps(dir);
-    persistIndex();
 }
 
 bool
@@ -111,10 +38,11 @@ ResultCache::lookup(const RunRequest &req, RunResult &out)
             ++counters.memoryHits;
             return true;
         }
-        if (!known.count(digest)) {
-            ++counters.misses;
-            return false;
-        }
+    }
+    if (!blobs.contains(digest)) {
+        std::lock_guard<std::mutex> lock(mu);
+        ++counters.misses;
+        return false;
     }
     const std::string path = blobPath(digest);
     try {
@@ -140,9 +68,8 @@ ResultCache::lookup(const RunRequest &req, RunResult &out)
     } catch (const SimError &) {
         // Torn, truncated or bit-flipped blob: drop it and re-simulate.
         // Never a wrong answer, never a crash.
-        ::unlink(path.c_str());
+        blobs.drop(digest);
         std::lock_guard<std::mutex> lock(mu);
-        known.erase(digest);
         memo.erase(digest);
         ++counters.corruptDropped;
         ++counters.misses;
@@ -177,9 +104,8 @@ ResultCache::store(const RunRequest &req, const RunResult &res)
              digestHex(digest).c_str(), err.what());
         return;
     }
-    appendIndex(digest);
+    blobs.add(digest);
     std::lock_guard<std::mutex> lock(mu);
-    known.insert(digest);
     if (memo.size() >= memoCapacity)
         memo.clear();
     memo[digest] = MemoEntry{key, res};
@@ -193,76 +119,13 @@ ResultCache::evictMemory(std::uint64_t digest)
     memo.erase(digest);
 }
 
-void
-ResultCache::appendIndex(std::uint64_t digest)
-{
-    const std::string path = dir + "/" + indexName;
-    const bool fresh = ::access(path.c_str(), F_OK) != 0;
-    std::FILE *f = std::fopen(path.c_str(), "ab");
-    if (!f) {
-        warn("result cache: cannot open index '%s': %s", path.c_str(),
-             std::strerror(errno));
-        return;
-    }
-    char line[64];
-    std::snprintf(line, sizeof(line), "entry digest=%s\n",
-                  digestHex(digest).c_str());
-    try {
-        // flock orders this append against other daemon processes
-        // sharing the directory; startup recovery tolerates a torn tail
-        // anyway, but well-formed records make post-mortems readable.
-        ScopedFileLock flock(::fileno(f));
-        if (fresh)
-            std::fputs(indexHeader, f);
-        std::fputs(line, f);
-        std::fflush(f);
-        ::fsync(::fileno(f));
-    } catch (const SimError &err) {
-        warn("result cache: index append skipped: %s", err.what());
-    }
-    std::fclose(f);
-}
-
-void
-ResultCache::persistIndex()
-{
-    std::unordered_set<std::uint64_t> snapshot;
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        snapshot = known;
-    }
-    const std::string path = dir + "/" + indexName;
-    const std::string tmp = uniqueTmpPath(path);
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (!f) {
-        warn("result cache: cannot rewrite index '%s': %s", path.c_str(),
-             std::strerror(errno));
-        return;
-    }
-    std::fputs(indexHeader, f);
-    for (const std::uint64_t digest : snapshot)
-        std::fprintf(f, "entry digest=%s\n", digestHex(digest).c_str());
-    const bool ok = std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
-    std::fclose(f);
-    if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
-        ::unlink(tmp.c_str());
-        warn("result cache: cannot land the compacted index '%s'",
-             path.c_str());
-    }
-}
-
-std::size_t
-ResultCache::size() const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    return known.size();
-}
-
 ResultCacheStats
 ResultCache::stats() const
 {
     std::lock_guard<std::mutex> lock(mu);
-    return counters;
+    ResultCacheStats out = counters;
+    out.recovered = blobs.recovered();
+    return out;
 }
 
 } // namespace rc::svc

@@ -25,12 +25,8 @@
  * entries; the blobs stay the durable truth (evicting the memory layer
  * only costs a verified disk re-read, never an answer).
  *
- * Startup recovery scans the directory: blobs are the source of truth
- * (an entry whose rename landed but whose index append did not is
- * adopted), *.tmp leftovers of a dead writer are deleted (a live
- * sibling process's in-flight write is left alone: staging names carry
- * the writer's pid, see common/tmpfile.hh), and the index is rewritten
- * compacted.
+ * The directory index, its append discipline and startup recovery are
+ * common/blob_index.hh's, shared with the feed cache.
  */
 
 #ifndef RC_SERVICE_RESULT_CACHE_HH
@@ -40,9 +36,9 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "common/blob_index.hh"
 #include "service/run_request.hh"
 #include "sim/run_result.hh"
 
@@ -83,16 +79,19 @@ class ResultCache
     void store(const RunRequest &req, const RunResult &res);
 
     /** Number of entries currently believed present. */
-    std::size_t size() const;
+    std::size_t size() const { return blobs.size(); }
 
     /** Counter snapshot (taken under the cache lock). */
     ResultCacheStats stats() const;
 
-    /** Rewrite the compacted index (SIGTERM drain persistence). */
-    void persistIndex();
+    /** The directory index (the daemon compacts it on drain). */
+    const BlobIndex &index() const { return blobs; }
 
     /** Blob path for @p digest (tests and fault injection). */
-    std::string blobPath(std::uint64_t digest) const;
+    std::string blobPath(std::uint64_t digest) const
+    {
+        return blobs.blobPath(digest);
+    }
 
     /**
      * Drop the in-memory copy of @p digest so the next lookup re-reads
@@ -101,7 +100,7 @@ class ResultCache
      */
     void evictMemory(std::uint64_t digest);
 
-    const std::string &directory() const { return dir; }
+    const std::string &directory() const { return blobs.directory(); }
 
   private:
     /** A decoded entry resident in memory; blobs stay the durable
@@ -112,12 +111,8 @@ class ResultCache
         RunResult result;
     };
 
-    void appendIndex(std::uint64_t digest);
-    void recover();
-
-    std::string dir;
-    mutable std::mutex mu;
-    std::unordered_set<std::uint64_t> known; //!< digests with blobs
+    BlobIndex blobs;
+    mutable std::mutex mu; //!< guards memo and counters
     std::unordered_map<std::uint64_t, MemoEntry> memo;
     ResultCacheStats counters;
 };

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "common/blob_index.hh"
 #include "sim/system_config.hh"
 #include "workloads/mixes.hh"
 
@@ -65,7 +66,7 @@ std::vector<std::uint8_t> canonicalBytes(const RunRequest &req);
 std::uint64_t requestDigest(const RunRequest &req);
 
 /** 16-hex-digit spelling of a digest (blob file names, logs). */
-std::string digestHex(std::uint64_t digest);
+using rc::digestHex;
 
 /** Wire encoding: canonical fields + the deadline. */
 void encodeRequest(Serializer &s, const RunRequest &req);

@@ -495,19 +495,11 @@ FanoutCmp::FanoutCmp(const std::vector<SystemConfig> &configs,
 bool
 FanoutCmp::samePrivatePrefix(const SystemConfig &a, const SystemConfig &b)
 {
-    return a.numCores == b.numCores &&
-           a.priv.l1Bytes == b.priv.l1Bytes &&
-           a.priv.l1Ways == b.priv.l1Ways &&
-           a.priv.l1Latency == b.priv.l1Latency &&
-           a.priv.l2Bytes == b.priv.l2Bytes &&
-           a.priv.l2Ways == b.priv.l2Ways &&
-           a.priv.l2Latency == b.priv.l2Latency &&
-           a.prefetch.enable == b.prefetch.enable &&
-           a.prefetch.degree == b.prefetch.degree &&
-           a.prefetch.tableEntries == b.prefetch.tableEntries &&
-           a.prefetch.regionShift == b.prefetch.regionShift &&
-           a.prefetch.minConfidence == b.prefetch.minConfidence &&
-           a.seed == b.seed && a.capacityScale == b.capacityScale;
+    bool same = true;
+    forEachField(a, b, [&](FieldSide side, const auto &x, const auto &y) {
+        same = same && (side != FieldSide::FrontEnd || x == y);
+    });
+    return same;
 }
 
 void

@@ -452,7 +452,7 @@ class FanoutCmp
               bool capture = false, const std::string &captureDir = {});
 
     /**
-     * Do @p a and @p b share the front-end-invariant config prefix
+     * Do @p a and @p b agree on every FrontEnd field of forEachField()
      * (cores, private hierarchy, prefetch, seed, capacity scale)?  The
      * harness groups runs by this predicate (plus the mix) to decide
      * what can share one fan-out pass.

@@ -9,14 +9,12 @@
 #include <limits.h>
 #include <type_traits>
 
-#include <dirent.h>
 #include <fcntl.h>
 #include <sys/file.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include "common/filelock.hh"
 #include "common/log.hh"
 #include "common/tmpfile.hh"
 #include "sim/fanout.hh"
@@ -44,8 +42,6 @@ constexpr std::uint64_t kHeaderBytes = 72;
 //! per-core array is re-aligned to 64 so mapped loads never straddle.
 constexpr std::uint64_t kArraysAlign = 64;
 constexpr std::uint32_t kEndianTag = 0x01020304;
-constexpr const char *kIndexName = "feed.index";
-constexpr const char *kIndexHeader = "# rc feed cache index v1\n";
 
 // Fixed header field offsets (bytes).
 constexpr std::size_t kOffVersion = 8;
@@ -95,31 +91,6 @@ ld64(const std::uint8_t *p)
 {
     return static_cast<std::uint64_t>(ld32(p)) |
            static_cast<std::uint64_t>(ld32(p + 4)) << 32;
-}
-
-std::uint64_t
-fnv1aBytes(const std::vector<std::uint8_t> &bytes)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (const std::uint8_t b : bytes) {
-        h ^= b;
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
-/** Parse the 16-hex digest out of "feed-<digest>.bin" (false on
- *  anything else, including .lock and .tmp siblings). */
-bool
-digestFromBlobName(const std::string &name, std::uint64_t &digest)
-{
-    if (name.size() != 4 + 1 + 16 + 4 || name.rfind("feed-", 0) != 0 ||
-        name.substr(name.size() - 4) != ".bin")
-        return false;
-    char *end = nullptr;
-    const std::string hex = name.substr(5, 16);
-    digest = std::strtoull(hex.c_str(), &end, 16);
-    return end != nullptr && *end == '\0';
 }
 
 //! Start writeback of the spill whenever this much has been appended
@@ -178,23 +149,6 @@ FeedHasher::done() const
     return x;
 }
 
-void
-putFrontEndConfig(Serializer &s, const SystemConfig &c)
-{
-    s.putU32(c.numCores);
-    s.putU64(c.priv.l1Bytes);
-    s.putU32(c.priv.l1Ways);
-    s.putU64(c.priv.l1Latency);
-    s.putU64(c.priv.l2Bytes);
-    s.putU32(c.priv.l2Ways);
-    s.putU64(c.priv.l2Latency);
-    s.putBool(c.prefetch.enable);
-    s.putU32(c.prefetch.degree);
-    s.putU32(c.prefetch.tableEntries);
-    s.putU32(c.prefetch.regionShift);
-    s.putU32(c.prefetch.minConfidence);
-}
-
 FeedKey
 feedKeyOf(const SystemConfig &cfg, const Mix &mix, std::uint64_t seed,
           std::uint32_t scale, std::uint64_t warmup,
@@ -203,9 +157,7 @@ feedKeyOf(const SystemConfig &cfg, const Mix &mix, std::uint64_t seed,
     Serializer s;
     s.beginSection("feedkey");
     s.beginSection("front");
-    putFrontEndConfig(s, cfg);
-    s.putU64(cfg.seed);
-    s.putU32(cfg.capacityScale);
+    putConfigFields(s, cfg, /*frontEndOnly=*/true);
     s.endSection("front");
     s.beginSection("mix");
     s.putU64(mix.apps.size());
@@ -219,23 +171,10 @@ feedKeyOf(const SystemConfig &cfg, const Mix &mix, std::uint64_t seed,
     s.putU64(measure);
     s.endSection("opt");
     s.endSection("feedkey");
-    // The canonical form is the section-framed payload alone, shorn of
-    // the snapshot container header and trailing CRC (the same
-    // convention as the service's canonicalBytes()).
-    const std::vector<std::uint8_t> img = s.image();
     FeedKey key;
-    key.bytes.assign(img.begin() + 12, img.end() - 4);
-    key.digest = fnv1aBytes(key.bytes);
+    key.bytes = s.payload();
+    key.digest = fnv1a64(key.bytes);
     return key;
-}
-
-std::string
-feedDigestHex(std::uint64_t digest)
-{
-    char buf[20];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(digest));
-    return buf;
 }
 
 std::uint64_t
@@ -661,13 +600,10 @@ FeedSpill::land(const std::string &path, const FeedKey &key,
 // --------------------------------------------------------------------
 // FeedCache
 
-FeedCache::FeedCache(const std::string &dir) : dir(dir)
+FeedCache::FeedCache(const std::string &dir)
+    : blobs(dir, "feed", "feed.index", "# rc feed cache index v1\n",
+            "feed cache")
 {
-    if (::mkdir(dir.c_str(), 0777) != 0 && errno != EEXIST)
-        throwSimError(SimError::Kind::Io,
-                      "cannot create feed cache directory '%s': %s",
-                      dir.c_str(), std::strerror(errno));
-    recover();
 }
 
 std::shared_ptr<FeedCache>
@@ -697,62 +633,16 @@ FeedCache::open(const std::string &dir)
     return cache;
 }
 
-std::string
-FeedCache::blobPath(std::uint64_t digest) const
-{
-    return dir + "/feed-" + feedDigestHex(digest) + ".bin";
-}
-
-void
-FeedCache::recover()
-{
-    // Same discipline as the result cache: blobs are the source of
-    // truth, unindexed blobs are adopted, tmps of a dead writer are
-    // swept (a live sibling's spill or staged blob is left alone), and
-    // the index is rewritten compacted.  Lock files are
-    // left alone — a live process may hold them, and replacing a held
-    // lock file's inode would split the mutual exclusion.
-    std::unordered_set<std::uint64_t> indexed;
-    {
-        std::FILE *f = std::fopen((dir + "/" + kIndexName).c_str(), "rb");
-        if (f) {
-            char line[128];
-            while (std::fgets(line, sizeof(line), f)) {
-                unsigned long long digest = 0;
-                if (std::sscanf(line, "entry digest=%llx", &digest) == 1)
-                    indexed.insert(digest);
-            }
-            std::fclose(f);
-        }
-    }
-
-    DIR *d = ::opendir(dir.c_str());
-    if (!d)
-        throwSimError(SimError::Kind::Io,
-                      "cannot scan feed cache directory '%s': %s",
-                      dir.c_str(), std::strerror(errno));
-    while (struct dirent *ent = ::readdir(d)) {
-        std::uint64_t digest = 0;
-        if (!digestFromBlobName(ent->d_name, digest))
-            continue;
-        known.insert(digest);
-        if (!indexed.count(digest))
-            ++counters.recovered;
-    }
-    ::closedir(d);
-    sweepDeadTmps(dir);
-    persistIndex();
-}
-
 std::shared_ptr<const FeedBlob>
 FeedCache::lookup(const FeedKey &key)
 {
+    if (!blobs.contains(key.digest)) {
+        std::lock_guard<std::mutex> lock(mu);
+        ++counters.misses;
+        return nullptr;
+    }
     {
         std::lock_guard<std::mutex> lock(mu);
-        if (!known.count(key.digest)) {
-            ++counters.misses;
-            return nullptr;
-        }
         const auto it = resident.find(key.digest);
         if (it != resident.end()) {
             if (std::shared_ptr<const FeedBlob> blob = it->second.lock()) {
@@ -778,9 +668,8 @@ FeedCache::lookup(const FeedKey &key)
     } catch (const SimError &) {
         // Torn, truncated, bit-flipped or stale-format blob: drop it
         // and let the caller recompute.  Never a wrong stream.
-        ::unlink(path.c_str());
+        blobs.drop(key.digest);
         std::lock_guard<std::mutex> lock(mu);
-        known.erase(key.digest);
         resident.erase(key.digest);
         ++counters.corruptDropped;
         ++counters.misses;
@@ -840,91 +729,23 @@ FeedCache::store(const FeedKey &key, FanoutFeed &feed)
     const std::unique_ptr<FeedSpill> spill = std::move(feed.spill);
     if (!spill) {
         warn("feed cache: nothing captured to persist for %s",
-             feedDigestHex(key.digest).c_str());
+             digestHex(key.digest).c_str());
         return;
     }
     if (!spill->land(blobPath(key.digest), key, feed.labels))
         return;
-    appendIndex(key.digest);
+    blobs.add(key.digest);
     std::lock_guard<std::mutex> lock(mu);
-    known.insert(key.digest);
     ++counters.stores;
-}
-
-void
-FeedCache::appendIndex(std::uint64_t digest)
-{
-    const std::string path = dir + "/" + kIndexName;
-    const bool fresh = ::access(path.c_str(), F_OK) != 0;
-    std::FILE *f = std::fopen(path.c_str(), "ab");
-    if (!f) {
-        warn("feed cache: cannot open index '%s': %s", path.c_str(),
-             std::strerror(errno));
-        return;
-    }
-    char line[64];
-    std::snprintf(line, sizeof(line), "entry digest=%s\n",
-                  feedDigestHex(digest).c_str());
-    try {
-        // flock orders this append against other processes sharing the
-        // directory; recovery tolerates a torn tail anyway, but
-        // well-formed records make post-mortems readable.
-        ScopedFileLock flock(::fileno(f));
-        if (fresh)
-            std::fputs(kIndexHeader, f);
-        std::fputs(line, f);
-        std::fflush(f);
-        ::fsync(::fileno(f));
-    } catch (const SimError &err) {
-        warn("feed cache: index append skipped: %s", err.what());
-    }
-    std::fclose(f);
-}
-
-void
-FeedCache::persistIndex()
-{
-    std::unordered_set<std::uint64_t> snapshot;
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        snapshot = known;
-    }
-    const std::string path = dir + "/" + kIndexName;
-    // pid-unique tmp (so recovery sweeps it once its writer is dead):
-    // two processes compacting at once must not clobber each other's
-    // staging file — either rename landing is correct.
-    const std::string tmp = uniqueTmpPath(path);
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (!f) {
-        warn("feed cache: cannot rewrite index '%s': %s", path.c_str(),
-             std::strerror(errno));
-        return;
-    }
-    std::fputs(kIndexHeader, f);
-    for (const std::uint64_t digest : snapshot)
-        std::fprintf(f, "entry digest=%s\n",
-                     feedDigestHex(digest).c_str());
-    const bool ok = std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
-    std::fclose(f);
-    if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
-        ::unlink(tmp.c_str());
-        warn("feed cache: cannot land the compacted index '%s'",
-             path.c_str());
-    }
-}
-
-std::size_t
-FeedCache::size() const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    return known.size();
 }
 
 FeedCacheStats
 FeedCache::stats() const
 {
     std::lock_guard<std::mutex> lock(mu);
-    return counters;
+    FeedCacheStats out = counters;
+    out.recovered = blobs.recovered();
+    return out;
 }
 
 // --------------------------------------------------------------------

@@ -48,10 +48,10 @@
  * arrays hash, the meta container CRC, AND compare the stored key
  * bytes against the probe — a corrupt or stale-format blob or a digest
  * collision demotes to a miss (corruption additionally unlinks the
- * blob), never a wrong answer.  Writes follow the ResultCache
- * crash-safety discipline: tmp + fsync + rename, a flock-guarded
- * append-only `feed.index`, and startup recovery that adopts unindexed
- * blobs and sweeps the tmps of dead writers.
+ * blob), never a wrong answer.  Blobs land by tmp + fsync + rename;
+ * the flock-guarded append-only `feed.index` and the startup recovery
+ * that adopts unindexed blobs and sweeps the tmps of dead writers are
+ * common/blob_index.hh's, shared with the service's result cache.
  */
 
 #ifndef RC_SIM_FEED_CACHE_HH
@@ -62,29 +62,17 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "cache/private_cache.hh"
+#include "common/blob_index.hh"
 #include "sim/system_config.hh"
 #include "workloads/mixes.hh"
 
 namespace rc
 {
 
-class Serializer;
 class FanoutFeed;
-
-/**
- * Serialize the front-end-invariant SystemConfig prefix: the fields
- * that shape reference generation and private-hierarchy classification
- * (cores, L1/L2 geometry and latencies, prefetcher) and nothing else.
- * This is the exact head of the service's canonical config walk —
- * run_request.cc calls it so the two encodings can never drift — and
- * the first section of the feed-cache key, which is what makes the key
- * insensitive to SLLC-only config changes.
- */
-void putFrontEndConfig(Serializer &s, const SystemConfig &c);
 
 /** Canonical feed-cache key: bytes + their FNV-1a 64 digest. */
 struct FeedKey
@@ -94,17 +82,15 @@ struct FeedKey
 };
 
 /**
- * Build the key for one front-end pass: front-end config prefix +
- * config seed/capacityScale + mix applications + the deterministic run
- * window (seed, scale, warmup, measure).  Two runs share a key iff
- * their fan-out front ends generate bit-identical record streams.
+ * Build the key for one front-end pass: the config's FrontEnd fields
+ * (forEachField(); SLLC-only changes leave the key alone) + mix
+ * applications + the deterministic run window (seed, scale, warmup,
+ * measure).  Two runs share a key iff their fan-out front ends
+ * generate bit-identical record streams.
  */
 FeedKey feedKeyOf(const SystemConfig &cfg, const Mix &mix,
                   std::uint64_t seed, std::uint32_t scale,
                   std::uint64_t warmup, std::uint64_t measure);
-
-/** 16-hex-digit spelling of a key digest (blob names, logs). */
-std::string feedDigestHex(std::uint64_t digest);
 
 /** Word-stride 64-bit hash of the arrays region; memory-bandwidth
  *  integrity check where byte-wise CRC32 would dominate a warm open. */
@@ -345,13 +331,16 @@ class FeedCache
     void store(const FeedKey &key, FanoutFeed &feed);
 
     /** Number of blobs currently believed present. */
-    std::size_t size() const;
+    std::size_t size() const { return blobs.size(); }
 
     /** Counter snapshot (taken under the cache lock). */
     FeedCacheStats stats() const;
 
     /** Blob path for @p digest (tests and fault injection). */
-    std::string blobPath(std::uint64_t digest) const;
+    std::string blobPath(std::uint64_t digest) const
+    {
+        return blobs.blobPath(digest);
+    }
 
     /**
      * Acquire the exclusive flock lease for @p digest's key (blocking).
@@ -363,18 +352,11 @@ class FeedCache
      */
     std::unique_ptr<FeedKeyLease> lockKey(std::uint64_t digest);
 
-    /** Rewrite the compacted index. */
-    void persistIndex();
-
-    const std::string &directory() const { return dir; }
+    const std::string &directory() const { return blobs.directory(); }
 
   private:
-    void appendIndex(std::uint64_t digest);
-    void recover();
-
-    std::string dir;
-    mutable std::mutex mu;
-    std::unordered_set<std::uint64_t> known; //!< digests with blobs
+    BlobIndex blobs;
+    mutable std::mutex mu; //!< guards resident and counters
     //! Live mappings by digest; weak so an unused blob unmaps itself.
     std::unordered_map<std::uint64_t, std::weak_ptr<const FeedBlob>>
         resident;

@@ -1,8 +1,10 @@
 #include "sim/system_config.hh"
 
 #include <cmath>
+#include <type_traits>
 
 #include "common/log.hh"
+#include "snapshot/serializer.hh"
 
 namespace rc
 {
@@ -35,7 +37,68 @@ skeleton(std::uint32_t scale)
     return sys;
 }
 
+// The last enumerator of each enum the walk visits (decode range
+// checks); an enum field of a new type fails to compile until it has one.
+constexpr LlcKind lastEnumerator(LlcKind) { return LlcKind::Ncid; }
+constexpr ReplKind lastEnumerator(ReplKind) { return ReplKind::Mru; }
+
 } // namespace
+
+void
+putConfigFields(Serializer &s, const SystemConfig &c, bool frontEndOnly)
+{
+    forEachField(c, [&](FieldSide side, const auto &f) {
+        using T = std::decay_t<decltype(f)>;
+        if (frontEndOnly && side != FieldSide::FrontEnd)
+            return;
+        if constexpr (std::is_enum_v<T>) {
+            static_assert(sizeof(T) == 1, "enums travel as one byte");
+            s.putU8(static_cast<std::uint8_t>(f));
+        } else if constexpr (std::is_same_v<T, bool>) {
+            s.putBool(f);
+        } else if constexpr (std::is_same_v<T, std::uint32_t>) {
+            s.putU32(f);
+        } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+            s.putU64(f);
+        } else if constexpr (std::is_same_v<T, double>) {
+            s.putDouble(f);
+        } else {
+            static_assert(std::is_same_v<T, std::string>);
+            s.putString(f);
+        }
+    });
+}
+
+SystemConfig
+getConfigFields(Deserializer &d)
+{
+    SystemConfig c;
+    forEachField(c, [&](FieldSide, auto &f) {
+        using T = std::decay_t<decltype(f)>;
+        if constexpr (std::is_enum_v<T>) {
+            const std::uint8_t v = d.getU8();
+            if (v > static_cast<std::uint8_t>(lastEnumerator(T{})))
+                throwSimError(SimError::Kind::Protocol,
+                              "config carries unknown %s %u",
+                              std::is_same_v<T, LlcKind> ? "LLC kind"
+                                                         : "replacement kind",
+                              v);
+            f = static_cast<T>(v);
+        } else if constexpr (std::is_same_v<T, bool>) {
+            f = d.getBool();
+        } else if constexpr (std::is_same_v<T, std::uint32_t>) {
+            f = d.getU32();
+        } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+            f = d.getU64();
+        } else if constexpr (std::is_same_v<T, double>) {
+            f = d.getDouble();
+        } else {
+            static_assert(std::is_same_v<T, std::string>);
+            f = d.getString();
+        }
+    });
+    return c;
+}
 
 SystemConfig
 baselineSystem(std::uint32_t scale)

@@ -194,6 +194,14 @@ Serializer::payloadCrc() const
 }
 
 std::vector<std::uint8_t>
+Serializer::payload() const
+{
+    RC_ASSERT(open.empty(), "snapshot payload with %zu unclosed section(s)",
+              open.size());
+    return buf;
+}
+
+std::vector<std::uint8_t>
 Serializer::image() const
 {
     RC_ASSERT(open.empty(), "snapshot image with %zu unclosed section(s)",

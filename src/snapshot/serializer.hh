@@ -66,6 +66,11 @@ class Serializer
      *  closed. */
     std::vector<std::uint8_t> image() const;
 
+    /** The section-framed payload alone, without the container header
+     *  and CRC: the canonical form content keys are built from.  All
+     *  sections must be closed. */
+    std::vector<std::uint8_t> payload() const;
+
     /** CRC32 of the payload alone (used as the journal's stat digest). */
     std::uint32_t payloadCrc() const;
 

@@ -12,7 +12,8 @@
  * and identical results.  Capture itself must stay bounded (its live
  * ring no larger than a plain feed's over a full Fig. 4 window), leave
  * nothing behind when dropped, and survive a sibling process's
- * recovery pass mid-capture.
+ * recovery pass mid-capture; recovery must also adopt a blob its index
+ * lost.
  */
 
 #include <algorithm>
@@ -35,6 +36,7 @@
 
 #include "arena/arena_registry.hh"
 #include "cache/replacement.hh"
+#include "common/blob_index.hh"
 #include "common/tmpfile.hh"
 #include "sim/cmp.hh"
 #include "sim/fanout.hh"
@@ -680,6 +682,53 @@ TEST(FeedCacheTest, KilledCaptureLeavesNothingAdoptable)
                 << name << " survived recovery";
         removeTree(dir);
     }
+}
+
+/**
+ * A blob whose rename landed but whose index append did not (a writer
+ * killed in between), behind a torn index tail: recovery adopts it, and
+ * the next lookup verifies and replays it.
+ */
+TEST(FeedCacheTest, RecoveryAdoptsUnindexedBlob)
+{
+    const std::string dir = scratchDir("rc-feed-recover");
+    removeTree(dir);
+    const std::vector<SystemConfig> cfgs = pairConfigs();
+    constexpr Cycle kW = 20'000, kM = 60'000;
+    const FeedKey key =
+        feedKeyOf(cfgs.front(), testMix(), kSeed, kScale, kW, kM);
+    std::string coldPrint;
+    {
+        FeedCache fc(dir);
+        FanoutCmp cold(cfgs, mixFactory(), nullptr, /*capture=*/true, dir);
+        runWindow(cold, kW, kM);
+        fc.store(key, cold.sharedFeed());
+        ASSERT_EQ(fc.stats().stores, 1u);
+        coldPrint = fleetFingerprint(cold, cfgs.size());
+    }
+    {
+        std::FILE *f = std::fopen((dir + "/feed.index").c_str(), "wb");
+        ASSERT_NE(f, nullptr);
+        std::fputs("# rc feed cache index v1\n", f);
+        std::fprintf(f, "entry digest=%.7s",
+                     digestHex(key.digest).c_str());
+        std::fclose(f);
+    }
+
+    FeedCache fc(dir);
+    EXPECT_EQ(fc.size(), 1u);
+    EXPECT_EQ(fc.stats().recovered, 1u);
+    const std::shared_ptr<const FeedBlob> blob = fc.lookup(key);
+    ASSERT_NE(blob, nullptr);
+    EXPECT_EQ(fc.stats().hits, 1u);
+    EXPECT_EQ(fc.stats().corruptDropped, 0u);
+    FanoutCmp warm(cfgs, mixFactory(), blob);
+    runWindow(warm, kW, kM);
+    EXPECT_EQ(fleetFingerprint(warm, cfgs.size()), coldPrint);
+
+    // Recovery rewrote the index, so the next open adopts nothing.
+    EXPECT_EQ(FeedCache(dir).stats().recovered, 0u);
+    removeTree(dir);
 }
 
 /**
